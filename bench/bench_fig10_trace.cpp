@@ -59,18 +59,19 @@ printTables()
 void
 simulateMinmaxTrace(benchmark::State &state)
 {
+    // Each iteration builds a machine for 14 cycles, so this row
+    // measures machine set-up: it counts machines, not cycles.
     MachineConfig cfg;
     cfg.recordTrace = state.range(0) != 0;
-    Cycle cycles = 0;
     for (auto _ : state) {
         XimdMachine m(workloads::minmaxPaper(false), cfg);
         for (int i = 0; i < 14; ++i)
             m.step();
-        cycles += m.cycle();
         benchmark::DoNotOptimize(m.readReg(0));
     }
-    state.counters["machine_cycles_per_s"] = benchmark::Counter(
-        static_cast<double>(cycles), benchmark::Counter::kIsRate);
+    state.counters["machines_per_s"] = benchmark::Counter(
+        static_cast<double>(state.iterations()),
+        benchmark::Counter::kIsRate);
 }
 BENCHMARK(simulateMinmaxTrace)
     ->Arg(0)

@@ -93,6 +93,8 @@ section(const std::string &title)
     int main(int argc, char **argv)                                   \
     {                                                                 \
         printTables();                                                \
+        ::benchmark::AddCustomContext("build_type", XIMD_BUILD_TYPE); \
+        ::benchmark::AddCustomContext("compiler", XIMD_COMPILER);     \
         ::benchmark::Initialize(&argc, argv);                         \
         if (::benchmark::ReportUnrecognizedArguments(argc, argv))     \
             return 1;                                                 \

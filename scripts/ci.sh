@@ -160,6 +160,25 @@ done
 diff -u tests/sched/golden/exact_gap.golden "$XCC_OUT/exact_gap.txt"
 echo "exact-parity: kernels proven minimal, gap report matches golden"
 
+# Benchmark stage: the repository benchmark's own tests (every
+# workload at a tiny size, metric names against BENCHMARK.json,
+# compare.py's verdicts). When BENCH_BASELINE names a record file
+# written by `perfbench/run.py --record`, also record every workload
+# on this checkout and compare: a regression beyond a metric's bound
+# or a simulated-statistics digest mismatch fails the stage.
+echo "==> perfbench (benchmark self-tests, baseline compare)"
+python3 perfbench/tests/test_perfbench.py
+if [ -n "${BENCH_BASELINE:-}" ]; then
+    for workload in short-jobs long-jobs livermore-c service-rt; do
+        python3 perfbench/run.py --workload "$workload" --seed 1 \
+            --seconds 10 --record "$XCC_OUT/bench_new.jsonl" > /dev/null
+    done
+    python3 perfbench/compare.py "$BENCH_BASELINE" \
+        "$XCC_OUT/bench_new.jsonl"
+else
+    echo "perfbench: BENCH_BASELINE not set; skipping baseline compare"
+fi
+
 # clang-tidy stage: bugprone/concurrency/performance profiles from
 # .clang-tidy over the analysis and core sources, using the release
 # build's compile_commands.json. Gated on the tool being installed so
@@ -173,13 +192,14 @@ else
     echo "==> clang-tidy not installed; skipping stage"
 fi
 
-# Snapshot / fuzz / fault stage: the serialization substrate and the
-# fault injector poke at raw state buffers, so run those suites again
-# under ASan+UBSan explicitly (they are also part of the full runs
-# above; this stage keeps them visible and gating on their own).
-echo "==> test (sanitize: snapshot + fuzz + fault suites)"
+# Snapshot / fuzz / fault / memory stage: the serialization substrate,
+# the fault injector and the paged memory poke at raw state and page
+# buffers, so run those suites again under ASan+UBSan explicitly (they
+# are also part of the full runs above; this stage keeps them visible
+# and gating on their own).
+echo "==> test (sanitize: snapshot + fuzz + fault + memory suites)"
 ctest --test-dir build-sanitize -j "$JOBS" --output-on-failure \
-    -R 'StateIo|Snapshot|FaultCampaign|DifferentialFuzz|cli_xfarm_checkpoint|cli_xfarm_resume|cli_xfarm_faults'
+    -R 'StateIo|Snapshot|FaultCampaign|DifferentialFuzz|Memory\.|cli_xfarm_checkpoint|cli_xfarm_resume|cli_xfarm_faults'
 
 # Coverage stage: gcov line coverage of the execution layers.
 echo "==> coverage (gcov: src/sim + src/core)"

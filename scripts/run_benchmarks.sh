@@ -4,18 +4,25 @@
 #
 #   {
 #     "date": "...", "build_dir": "...",
+#     "commit": "...", "dirty": ..., "nproc": ...,
+#     "build_type": "...", "compiler": "...",
 #     "benchmarks": [
 #       { "binary": "...", "name": "...", "wall_time_ms": ...,
 #         "cpu_time_ms": ..., "machine_cycles_per_s": ... }, ...
 #     ]
 #   }
 #
-# wall-time per benchmark plus simulated machine-cycles-per-second
+# The header records where the numbers came from: the checkout's
+# commit and whether it had uncommitted changes, the host's core
+# count, and the build type and compiler the bench binaries report.
+# Wall-time per benchmark plus simulated machine-cycles-per-second
 # (for the benchmarks that export that counter) is the regression
-# currency for the simulator's host performance. The xfarm scaling
-# sweep (bench_farm_scaling, 1/2/4/8 workers) is additionally
-# summarized as a top-level "xfarm_scaling" section with speedups
-# relative to the 1-worker run, the compiler-pipeline timings
+# currency for the simulator's host performance; the set-up-bound
+# rows (simulateTproc, simulateMinmaxTrace) export machines_per_s
+# instead. The xfarm scaling sweep (bench_farm_scaling, 1/2/4/8
+# workers) is additionally summarized as a top-level "xfarm_scaling"
+# section with speedups relative to the 1-worker run, the
+# compiler-pipeline timings
 # (bench_sched_compile) as a top-level "sched_compile" section, and
 # the simulate*/interp-vs-threaded pairs as a top-level
 # "execution_backends" section with per-row cycles/s and speedup.
@@ -49,19 +56,36 @@ for bin in "$BUILD"/bench/bench_*; do
            --benchmark_out="$TMP/$name.json" > /dev/null
 done
 
-python3 - "$TMP" "$OUT" <<'EOF'
+COMMIT="$(git rev-parse HEAD 2>/dev/null || echo unknown)"
+if [ -n "$(git status --porcelain --untracked-files=no 2>/dev/null)" ]; then
+    DIRTY=true
+else
+    DIRTY=false
+fi
+
+python3 - "$TMP" "$OUT" "$BUILD" "$COMMIT" "$DIRTY" "$(nproc)" <<'EOF'
 import json, os, sys, datetime
 
-tmp, out = sys.argv[1], sys.argv[2]
+tmp, out, build, commit, dirty, nproc = sys.argv[1:7]
 merged = {
     "date": datetime.datetime.now().isoformat(timespec="seconds"),
-    "build_dir": os.environ.get("BUILD", "build"),
+    "build_dir": build,
+    "commit": commit,
+    "dirty": dirty == "true",
+    "nproc": int(nproc),
+    "build_type": None,
+    "compiler": None,
     "benchmarks": [],
 }
 for fname in sorted(os.listdir(tmp)):
     with open(os.path.join(tmp, fname)) as f:
         doc = json.load(f)
     binary = fname[: -len(".json")]
+    # Every bench binary reports its own build (bench_util.hh).
+    context = doc.get("context", {})
+    for key in ("build_type", "compiler"):
+        if merged[key] is None:
+            merged[key] = context.get(key)
     for b in doc.get("benchmarks", []):
         # google-benchmark reports real_time/cpu_time in `time_unit`s.
         scale = {"ns": 1e-6, "us": 1e-3, "ms": 1.0, "s": 1e3}[
@@ -73,16 +97,16 @@ for fname in sorted(os.listdir(tmp)):
             "cpu_time_ms": b["cpu_time"] * scale,
             "iterations": b.get("iterations"),
         }
-        if "machine_cycles_per_s" in b:
-            entry["machine_cycles_per_s"] = b["machine_cycles_per_s"]
-        if "jobs_per_s" in b:
-            entry["jobs_per_s"] = b["jobs_per_s"]
+        for counter in ("machine_cycles_per_s", "machines_per_s",
+                        "jobs_per_s"):
+            if counter in b:
+                entry[counter] = b[counter]
         merged["benchmarks"].append(entry)
 
-# xfarm thread-scaling summary: farmSuite/<jobs> wall times and the
-# speedup curve against the serial run.
+# xfarm thread-scaling summary: farmSuite/<workers>/real_time wall
+# times and the speedup curve against the serial run.
 scaling = {
-    int(b["name"].rsplit("/", 1)[1]): b["wall_time_ms"]
+    int(b["name"].split("/")[1]): b["wall_time_ms"]
     for b in merged["benchmarks"]
     if b["binary"] == "bench_farm_scaling"
     and b["name"].startswith("farmSuite/")
@@ -163,8 +187,9 @@ if exact_rows:
 
 # Batch-throughput summary: batchThroughput/<width> rows (width 1 is
 # the scalar farm) with jobs/s, aggregate simulated cycles/s and the
-# speedup over the scalar baseline. The width-256 row is the gating
-# number (>= 3x scalar, DESIGN.md section 13).
+# speedup over the scalar baseline. The width-1 row is the scalar
+# target (>= 20k jobs/s); the speedups show what batching still adds
+# over it (DESIGN.md section 13).
 widths = {
     int(b["name"].rsplit("/", 1)[1]): b
     for b in merged["benchmarks"]

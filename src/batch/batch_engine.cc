@@ -827,9 +827,9 @@ BatchEngine::laneArchHash(unsigned lane) const
 {
     // MachineCore::archStateHash: register words, memory as RLE runs,
     // CC values + ever-written flags. The run decomposition replayed
-    // here over the page table is identical to Memory::hashContents'
-    // dense scan (absent pages contribute zero runs that merge with
-    // neighbouring zero words exactly as the scan would).
+    // here over the page table is identical to a dense scan, as in
+    // Memory::hashContents (absent pages contribute zero runs that
+    // merge with neighbouring zero words exactly as the scan would).
     Hash64 h;
     const Word *const lregs =
         regs_.data() + std::size_t(lane) * kNumRegisters;

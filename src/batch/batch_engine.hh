@@ -3,15 +3,15 @@
  * Batched structure-of-arrays lockstep execution of many machines.
  *
  * The farm's scalar path pays a fixed cost per job that has nothing to
- * do with the job's cycle count: a Machine allocates and zeroes the
- * full idealized memory (4 MB at the default 2^20 words), the threaded
- * backend builds a per-core token table, and archStateHash() walks
- * every memory word. For the short jobs a sweep is made of, that setup
- * dwarfs execution — and thread fan-out cannot help on a host where
- * xfarm scaling is flat (BENCH xfarm_scaling).
+ * do with the job's cycle count: the threaded backend builds a
+ * per-core token table and the Machine wires its observers. Memory is
+ * not part of that cost: sim/Memory is paged like the lanes below, so
+ * a scalar job's construction and archStateHash() cost O(pages
+ * touched) too, and the scalar farm runs within about 1.1x of the
+ * widest engine (bench_batch_throughput).
  *
- * BatchEngine amortizes all of it across N lanes that share one
- * immutable PreparedProgram:
+ * BatchEngine amortizes the remaining set-up across N lanes that share
+ * one immutable PreparedProgram:
  *
  *  - per-lane register files, condition codes, PCs, live masks, cycle
  *    budgets and partition histograms live in contiguous per-lane

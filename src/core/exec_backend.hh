@@ -47,10 +47,21 @@
 
 namespace ximd {
 
+/** Result of sequencing one parcel. */
+struct NextPc
+{
+    bool halt = false;  ///< The FU stops after this cycle.
+    bool taken = false; ///< Condition evaluated TRUE (t1 selected).
+    InstAddr pc = 0;    ///< Next instruction address (when !halt).
+};
+
 /**
- * Sequence one predecoded parcel (mirrors evaluateControlOp). Shared
- * by the interpreter loop, the busy-wait fast-forward proof, and the
- * threaded backend's resynchronization path.
+ * The per-FU sequencer of Figure 8: select the next PC of one
+ * predecoded parcel between its two explicit branch targets, from the
+ * beginning-of-cycle condition codes @p ccs and the current-cycle sync
+ * signals @p ss. Shared by the interpreter loop, the busy-wait
+ * fast-forward proof, and the threaded backend's resynchronization
+ * path.
  */
 inline NextPc
 evalDecodedControl(const DecodedParcel &d, const CondCodeFile &ccs,

@@ -49,7 +49,6 @@
 #include "sim/cond_codes.hh"
 #include "sim/memory.hh"
 #include "sim/register_file.hh"
-#include "sim/sequencer.hh"
 #include "sim/sync_bus.hh"
 #include "sim/write_pipeline.hh"
 #include "support/state_io.hh"
@@ -57,6 +56,7 @@
 namespace ximd {
 
 class ExecBackend;
+struct NextPc; // core/exec_backend.hh
 
 /**
  * The execution engine shared by XimdMachine and VliwMachine.

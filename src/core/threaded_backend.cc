@@ -28,11 +28,12 @@
 
 // The data-op execute bodies, shared between the XIMD hot loop's
 // inline handlers and execData() (the VLIW lane executor). Names in
-// scope at expansion: `t` (token), `fu`, `pend`, `st`, `memData`,
-// `memWords`, and the member `core_`. Semantics mirror
-// InterpBackend::executeParcel exactly, including fault points: ALU
-// helpers raise divide-by-zero, and an out-of-range load faults before
-// the load counter moves (stores defer their check to commitPend).
+// scope at expansion: `t` (token), `fu`, `pend`, `st`, `memPages`
+// (the memory's page table), `memWords`, and the member `core_`.
+// Semantics mirror InterpBackend::executeParcel exactly, including
+// fault points: ALU helpers raise divide-by-zero, and an out-of-range
+// load faults before the load counter moves (stores defer their check
+// to commitPend).
 #define XIMD_DATA_OPS(X)                                                  \
     X(Iadd, PUSH_REG(*t.a + *t.b))                                        \
     X(Isub, PUSH_REG(*t.a - *t.b))                                        \
@@ -74,7 +75,7 @@
         if (addr >= memWords)                                             \
             core_.mem_.checkAddr(addr); /* throws interp's message */     \
         ++st.loads;                                                       \
-        PUSH_REG(memData[addr]);                                          \
+        PUSH_REG(Memory::wordAt(memPages, addr));                         \
     } while (0))                                                          \
     X(Store, PUSH_MEM(*t.b, *t.a))
 
@@ -291,7 +292,7 @@ ThreadedBackend::commitPend(Pend &pend, BlockState &st)
     // check cannot fire: operand construction bounds register ids),
     // then CC writes, then stores — so a store's address check is the
     // first commit-time fault and nothing has applied when it throws.
-    const std::size_t memWords = core_.mem_.words_.size();
+    const std::size_t memWords = core_.mem_.size();
     for (int i = 0; i < pend.nMem; ++i) {
         if (pend.memW[i].addr >= memWords)
             core_.mem_.checkAddr(pend.memW[i].addr); // throws
@@ -342,7 +343,6 @@ ThreadedBackend::commitPend(Pend &pend, BlockState &st)
     // commit applied, exactly as Memory::commit follows
     // RegisterFile::commit in the interpreter.
     if (pend.nMem) {
-        Word *const memData = core_.mem_.words_.data();
         for (int i = 1; i < pend.nMem; ++i) {
             const Pend::MemW w = pend.memW[i];
             int j = i - 1;
@@ -370,7 +370,7 @@ ThreadedBackend::commitPend(Pend &pend, BlockState &st)
             const Pend::MemW &w = pend.memW[i];
             if (haveLast && w.addr == lastAddr)
                 continue;
-            memData[w.addr] = w.val;
+            core_.mem_.setWord(w.addr, w.val);
             ++st.stores;
             lastAddr = w.addr;
             haveLast = true;
@@ -386,7 +386,8 @@ ThreadedBackend::commitPend(Pend &pend, BlockState &st)
 
 void
 ThreadedBackend::execData(const Token &t, FuId fu, Pend &pend,
-                          BlockState &st, Word *memData,
+                          BlockState &st,
+                          const Word *const *memPages,
                           std::size_t memWords)
 {
     switch (t.kind) {
@@ -409,8 +410,8 @@ ThreadedBackend::runBlockXimd(Cycle limit, BlockState &st,
 {
     MachineCore &core = core_;
     const std::uint32_t fullMask = fuMaskAll(core.numFus());
-    Word *const memData = core.mem_.words_.data();
-    const std::size_t memWords = core.mem_.words_.size();
+    const Word *const *const memPages = core.mem_.table_.data();
+    const std::size_t memWords = core.mem_.size();
     const Token *const toks = tokens_.data();
     const InstAddr rows = rows_;
     const bool fastForward = core.config_.fastForward;
@@ -653,8 +654,8 @@ ThreadedBackend::runBlockVliw(Cycle limit, BlockState &st,
 {
     MachineCore &core = core_;
     const FuId n = core.numFus();
-    Word *const memData = core.mem_.words_.data();
-    const std::size_t memWords = core.mem_.words_.size();
+    const Word *const *const memPages = core.mem_.table_.data();
+    const std::size_t memWords = core.mem_.size();
     const Token *const toks = tokens_.data();
     const InstAddr rows = rows_;
     const bool fastForward = core.config_.fastForward;
@@ -698,7 +699,7 @@ ThreadedBackend::runBlockVliw(Cycle limit, BlockState &st,
                 const Token &t =
                     toks[static_cast<std::size_t>(fu) * rows + pc0];
                 st.reads += t.readCount;
-                execData(t, fu, pend, st, memData, memWords);
+                execData(t, fu, pend, st, memPages, memWords);
             }
             commitPend(pend, st);
         } catch (const FatalError &e) {

@@ -157,7 +157,7 @@ class ThreadedBackend final : public ExecBackend
 
     /** Execute one data token (VLIW lanes; fused kinds are no-ops). */
     void execData(const Token &t, FuId fu, Pend &pend, BlockState &st,
-                  Word *memData, std::size_t memWords);
+                  const Word *const *memPages, std::size_t memWords);
 
     /** Load block-local state from / store it back to the core. */
     void loadBlockState(BlockState &st) const;

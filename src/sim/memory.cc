@@ -6,11 +6,69 @@
 
 namespace ximd {
 
+namespace {
+
+/** Every untouched page of every memory reads this; never written. */
+const Word kZeroPage[Memory::kPageWords] = {};
+
+} // namespace
+
 Memory::Memory(std::size_t words, ConflictPolicy policy)
-    : words_(words, 0), policy_(policy)
+    : size_(words),
+      table_((words >> kPageShift) + ((words & (kPageWords - 1)) != 0),
+             kZeroPage),
+      owned_(table_.size()),
+      policy_(policy)
 {
     if (words == 0)
         fatal("memory must contain at least one word");
+}
+
+Word *
+Memory::touchPage(std::size_t page)
+{
+    owned_[page] = std::make_unique<Word[]>(kPageWords);
+    table_[page] = owned_[page].get();
+    return owned_[page].get();
+}
+
+template <typename Emit>
+void
+Memory::forEachRun(Emit emit) const
+{
+    // The open run is (len, value); while it is empty its value is 0,
+    // so leading zeros simply extend it.
+    std::uint64_t len = 0;
+    Word value = 0;
+    for (std::size_t p = 0; p < owned_.size(); ++p) {
+        const std::size_t n =
+            std::min(kPageWords, size_ - (p << kPageShift));
+        const Word *page = owned_[p].get();
+        if (!page) {
+            if (value != 0) {
+                emit(len, value);
+                len = 0;
+                value = 0;
+            }
+            len += n;
+            continue;
+        }
+        for (std::size_t i = 0; i < n;) {
+            std::size_t j = i + 1;
+            while (j < n && page[j] == page[i])
+                ++j;
+            if (page[i] == value) {
+                len += j - i;
+            } else {
+                if (len != 0)
+                    emit(len, value);
+                value = page[i];
+                len = j - i;
+            }
+            i = j;
+        }
+    }
+    emit(len, value);
 }
 
 void
@@ -33,8 +91,8 @@ Memory::attachDevice(Addr lo, Addr hi, IoDevice *device)
 void
 Memory::checkAddr(Addr addr) const
 {
-    if (addr >= words_.size())
-        fatal("memory address ", addr, " out of range (", words_.size(),
+    if (addr >= size_)
+        fatal("memory address ", addr, " out of range (", size_,
               " words)");
 }
 
@@ -54,7 +112,7 @@ Memory::load(Addr addr, Cycle now)
     ++loads_;
     if (const DeviceWindow *w = findWindow(addr))
         return w->device->read(addr - w->lo, now);
-    return words_[addr];
+    return wordAt(table_.data(), addr);
 }
 
 void
@@ -94,7 +152,7 @@ Memory::commit(Cycle now)
         if (const DeviceWindow *w = findWindow(s.addr))
             w->device->write(s.addr - w->lo, s.value, now);
         else
-            words_[s.addr] = s.value;
+            setWord(s.addr, s.value);
         ++stores_;
         last_addr = s.addr;
         have_last = true;
@@ -108,7 +166,7 @@ Memory::poke(Addr addr, Word value)
     checkAddr(addr);
     if (findWindow(addr))
         fatal("poke() into device window at address ", addr);
-    words_[addr] = value;
+    setWord(addr, value);
 }
 
 Word
@@ -117,7 +175,7 @@ Memory::peek(Addr addr) const
     checkAddr(addr);
     if (findWindow(addr))
         fatal("peek() into device window at address ", addr);
-    return words_[addr];
+    return wordAt(table_.data(), addr);
 }
 
 std::vector<IoDevice *>
@@ -134,29 +192,19 @@ void
 Memory::saveState(StateWriter &w) const
 {
     w.tag("MEMY");
-    w.u64(words_.size());
+    w.u64(size_);
     w.u8(static_cast<std::uint8_t>(policy_));
 
     // Run-length encode the word array: (count, value) pairs. The
     // idealized memory is 2^20 words and almost entirely zero, so
     // this keeps snapshots compact without a real compressor.
     std::uint64_t runs = 0;
-    for (std::size_t i = 0; i < words_.size();) {
-        std::size_t j = i + 1;
-        while (j < words_.size() && words_[j] == words_[i])
-            ++j;
-        ++runs;
-        i = j;
-    }
+    forEachRun([&](std::uint64_t, Word) { ++runs; });
     w.count(runs);
-    for (std::size_t i = 0; i < words_.size();) {
-        std::size_t j = i + 1;
-        while (j < words_.size() && words_[j] == words_[i])
-            ++j;
-        w.u64(j - i);
-        w.u32(words_[i]);
-        i = j;
-    }
+    forEachRun([&](std::uint64_t len, Word value) {
+        w.u64(len);
+        w.u32(value);
+    });
 
     w.count(pending_.size());
     for (const PendingStore &p : pending_) {
@@ -181,30 +229,37 @@ Memory::loadState(StateReader &r)
 {
     r.checkTag("MEMY");
     const std::uint64_t size = r.u64();
-    if (size != words_.size())
+    if (size != size_)
         fatal("memory state has ", size, " words, this machine has ",
-              words_.size());
+              size_);
     const auto policy = static_cast<ConflictPolicy>(r.u8());
     if (policy != policy_)
         fatal("memory state was saved under a different conflict "
               "policy");
 
-    const std::size_t runs = r.count(words_.size());
+    // Release every page, so zero runs replay by skipping and only
+    // non-zero runs get page storage.
+    const std::size_t runs = r.count(size_);
+    for (std::size_t p = 0; p < owned_.size(); ++p) {
+        owned_[p].reset();
+        table_[p] = kZeroPage;
+    }
     std::size_t at = 0;
     for (std::size_t i = 0; i < runs; ++i) {
         const std::uint64_t len = r.u64();
         const Word value = r.u32();
-        if (len > words_.size() - at)
+        if (len > size_ - at)
             fatal("memory state run overflows the word array at word ",
                   at);
-        for (std::uint64_t k = 0; k < len; ++k)
-            words_[at++] = value;
+        if (value != 0)
+            for (std::uint64_t k = 0; k < len; ++k)
+                setWord(static_cast<Addr>(at + k), value);
+        at += len;
     }
-    if (at != words_.size())
-        fatal("memory state covers ", at, " of ", words_.size(),
-              " words");
+    if (at != size_)
+        fatal("memory state covers ", at, " of ", size_, " words");
 
-    pending_.resize(r.count(words_.size()));
+    pending_.resize(r.count(size_));
     for (PendingStore &p : pending_) {
         p.addr = r.u32();
         p.value = r.u32();
@@ -234,16 +289,12 @@ Memory::loadState(StateReader &r)
 void
 Memory::hashContents(Hash64 &h) const
 {
-    // Hash as runs so the cost tracks occupancy, not capacity: the
-    // idealized memory is 2^20 words and campaigns hash every job.
-    for (std::size_t i = 0; i < words_.size();) {
-        std::size_t j = i + 1;
-        while (j < words_.size() && words_[j] == words_[i])
-            ++j;
-        h.u64(j - i);
-        h.u32(words_[i]);
-        i = j;
-    }
+    // Hash as runs so the cost tracks pages touched, not capacity:
+    // the idealized memory is 2^20 words and campaigns hash every job.
+    forEachRun([&](std::uint64_t len, Word value) {
+        h.u64(len);
+        h.u32(value);
+    });
 }
 
 } // namespace ximd

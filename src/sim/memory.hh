@@ -12,12 +12,20 @@
  * same-address conflict detection. Address windows can be claimed by
  * IoDevice instances (section 3.4's I/O ports); device reads happen
  * combinationally during execute, device writes at commit.
+ *
+ * The word array is paged: 4096-word pages get their own storage on
+ * their first write, and every untouched page shares one read-only
+ * zero page. A load is still one table lookup, while construction,
+ * hashing and serialization cost O(pages touched) instead of
+ * O(size()) — the default memory is 2^20 words and a short job
+ * touches a handful of pages.
  */
 
 #ifndef XIMD_SIM_MEMORY_HH
 #define XIMD_SIM_MEMORY_HH
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "sim/io_port.hh"
@@ -30,10 +38,14 @@ namespace ximd {
 class Memory
 {
   public:
+    static constexpr unsigned kPageShift = 12;
+    static constexpr std::size_t kPageWords = std::size_t(1)
+                                              << kPageShift;
+
     explicit Memory(std::size_t words,
                     ConflictPolicy policy = ConflictPolicy::Fault);
 
-    std::size_t size() const { return words_.size(); }
+    std::size_t size() const { return size_; }
 
     /**
      * Attach @p device to the address window [lo, hi] (inclusive).
@@ -104,9 +116,9 @@ class Memory
     /// @}
 
   private:
-    // The threaded execution backend (core/threaded_backend.cc)
-    // accesses the word array directly (it only runs with no device
-    // windows attached) and bulk-updates the counters.
+    // The threaded execution backend (core/threaded_backend.cc) loads
+    // through the page table, stores through setWord() (it only runs
+    // with no device windows attached), and bulk-updates the counters.
     friend class ThreadedBackend;
 
     struct DeviceWindow
@@ -123,10 +135,40 @@ class Memory
         FuId fu;
     };
 
+    /** RAM word at in-range @p addr, read through page table @p table. */
+    static Word wordAt(const Word *const *table, Addr addr)
+    {
+        return table[addr >> kPageShift][addr & (kPageWords - 1)];
+    }
+
+    /** Write the RAM word at in-range @p addr. */
+    void setWord(Addr addr, Word value)
+    {
+        Word *page = owned_[addr >> kPageShift].get();
+        if (!page)
+            page = touchPage(addr >> kPageShift);
+        page[addr & (kPageWords - 1)] = value;
+    }
+
+    /** Give untouched page @p page its own zeroed storage. */
+    Word *touchPage(std::size_t page);
+
+    /**
+     * Call @p emit(length, value) for each maximal run of equal words
+     * in address order — the dense scan's decomposition, at O(1) per
+     * untouched page.
+     */
+    template <typename Emit>
+    void forEachRun(Emit emit) const;
+
     void checkAddr(Addr addr) const;
     const DeviceWindow *findWindow(Addr addr) const;
 
-    std::vector<Word> words_;
+    std::size_t size_;
+    /** Per page: its storage, or the shared zero page while untouched. */
+    std::vector<const Word *> table_;
+    /** Per page: owned storage, null while untouched. */
+    std::vector<std::unique_ptr<Word[]>> owned_;
     ConflictPolicy policy_;
     std::vector<DeviceWindow> windows_;
     std::vector<PendingStore> pending_;

@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "asm/assembler.hh"
 #include "core/machine.hh"
 #include "core/observer.hh"
 #include "core/partition.hh"
@@ -58,6 +59,24 @@ class BlockObserver : public CycleObserver
     }
     Cycle cycles = 0;
 };
+
+/**
+ * Memory traffic across the 4096-word page boundary: a load from a
+ * never-written page, FU0 and FU1 storing to addresses 4095 and 4096
+ * in one cycle, loads back across the boundary (base + offset), then
+ * a store to address 5000 — the first word past a 5000-word memory.
+ */
+Program
+crossPageProgram()
+{
+    return assembleString(
+        ".fus 2\n"
+        "-> 1 ; load #4500,#0,r1 || -> 1 ; iadd #11,#0,r2\n"
+        "-> 2 ; store r2,#4095 || -> 2 ; store #22,#4096\n"
+        "-> 3 ; load #4094,#1,r3 || -> 3 ; load #4095,#1,r4\n"
+        "-> 4 ; store #33,#5000 || -> 4 ; nop\n"
+        "halt ; load #5000,#0,r5 || halt ; nop\n");
+}
 
 TEST(Backend, DefaultConfigSelectsThreadedAndRunsIt)
 {
@@ -162,22 +181,68 @@ TEST(Backend, BlockObserverSeesEveryCycleOnce)
 
 TEST(Backend, ThreadedMatchesInterpObservables)
 {
-    // Same program, same observers, both backends: identical cycle
-    // count, architectural state, statistics and partition history.
-    const Program prog = workloads::minmaxPaper(true);
-    Machine interp(prog,
-                   MachineConfig{}.withBackend(Backend::Interp));
-    Machine threaded(prog,
-                     MachineConfig{}.withBackend(Backend::Threaded));
-    const RunResult ri = interp.run(1000);
-    const RunResult rt = threaded.run(1000);
-    EXPECT_EQ(ri.reason, rt.reason);
-    EXPECT_EQ(ri.cycles, rt.cycles);
-    EXPECT_EQ(interp.archStateHash(), threaded.archStateHash());
-    EXPECT_EQ(interp.stats().formatted(),
-              threaded.stats().formatted());
-    EXPECT_EQ(interp.partitions().formatted(),
-              threaded.partitions().formatted());
+    // Same program, same observers, both backends: identical outcome,
+    // architectural and serialized state, statistics and partition
+    // history. The cross-page program also runs in a 5000-word memory,
+    // where its store to address 5000 must fault the same way.
+    struct Input
+    {
+        const char *name;
+        Program program;
+        MachineConfig config;
+    };
+    const std::vector<Input> inputs = {
+        {"minmax", workloads::minmaxPaper(true), MachineConfig{}},
+        {"cross-page", crossPageProgram(), MachineConfig{}},
+        {"cross-page/5000-words", crossPageProgram(),
+         MachineConfig{}.withMemWords(5000)},
+    };
+    for (const Input &in : inputs) {
+        SCOPED_TRACE(in.name);
+        Machine interp(in.program,
+                       MachineConfig(in.config).withBackend(
+                           Backend::Interp));
+        Machine threaded(in.program,
+                         MachineConfig(in.config).withBackend(
+                             Backend::Threaded));
+        ASSERT_EQ(threaded.core().effectiveBackend(), Backend::Threaded);
+        const RunResult ri = interp.run(1000);
+        const RunResult rt = threaded.run(1000);
+        EXPECT_EQ(ri.reason, rt.reason);
+        EXPECT_EQ(ri.cycles, rt.cycles);
+        EXPECT_EQ(ri.faultMessage, rt.faultMessage);
+        EXPECT_EQ(interp.archStateHash(), threaded.archStateHash());
+        EXPECT_EQ(interp.stateHash(), threaded.stateHash());
+        EXPECT_EQ(interp.stats().formatted(),
+                  threaded.stats().formatted());
+        EXPECT_EQ(interp.partitions().formatted(),
+                  threaded.partitions().formatted());
+    }
+}
+
+TEST(Backend, CrossPageProgramComputesExpectedWords)
+{
+    // Pins what the parity check above compares, so it cannot pass
+    // on two equally wrong answers.
+    for (Backend b : {Backend::Interp, Backend::Threaded}) {
+        SCOPED_TRACE(backendName(b));
+        Machine m(crossPageProgram(), MachineConfig{}.withBackend(b));
+        EXPECT_EQ(m.run(100).reason, StopReason::Halted);
+        EXPECT_EQ(m.readReg(1), 0u);  // never-written page reads zero
+        EXPECT_EQ(m.readReg(3), 11u); // M[4095]
+        EXPECT_EQ(m.readReg(4), 22u); // M[4096]
+        EXPECT_EQ(m.readReg(5), 33u); // M[5000]
+
+        Machine small(crossPageProgram(),
+                      MachineConfig{}.withBackend(b).withMemWords(5000));
+        const RunResult r = small.run(100);
+        EXPECT_EQ(r.reason, StopReason::Fault);
+        EXPECT_EQ(r.cycles, 3u);
+        EXPECT_EQ(r.faultMessage,
+                  "fatal: memory address 5000 out of range (5000 words)");
+        EXPECT_EQ(small.peekMem(4095), 11u);
+        EXPECT_EQ(small.peekMem(4096), 22u);
+    }
 }
 
 TEST(Backend, SetAssignmentsOverwritesPartition)
