@@ -192,14 +192,16 @@ else
     echo "==> clang-tidy not installed; skipping stage"
 fi
 
-# Snapshot / fuzz / fault / memory stage: the serialization substrate,
-# the fault injector and the paged memory poke at raw state and page
-# buffers, so run those suites again under ASan+UBSan explicitly (they
-# are also part of the full runs above; this stage keeps them visible
-# and gating on their own).
-echo "==> test (sanitize: snapshot + fuzz + fault + memory suites)"
+# Snapshot / fuzz / fault / memory / JSON stage: the serialization
+# substrate, the fault injector and the paged memory poke at raw state
+# and page buffers, and the JSON reader is an input boundary (service
+# request lines, sweep files, fault plans) with a nesting cap and
+# large-input tests, so run those suites again under ASan+UBSan
+# explicitly (they are also part of the full runs above; this stage
+# keeps them visible and gating on their own).
+echo "==> test (sanitize: snapshot + fuzz + fault + memory + json suites)"
 ctest --test-dir build-sanitize -j "$JOBS" --output-on-failure \
-    -R 'StateIo|Snapshot|FaultCampaign|DifferentialFuzz|Memory\.|cli_xfarm_checkpoint|cli_xfarm_resume|cli_xfarm_faults'
+    -R 'StateIo|Snapshot|FaultCampaign|DifferentialFuzz|Memory\.|Json\.|cli_xfarm_checkpoint|cli_xfarm_resume|cli_xfarm_faults'
 
 # Coverage stage: gcov line coverage of the execution layers.
 echo "==> coverage (gcov: src/sim + src/core)"

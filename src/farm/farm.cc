@@ -211,52 +211,50 @@ BatchResult::merged() const
     return total;
 }
 
+void
+writeJobFields(json::Writer &w, const JobResult &job)
+{
+    w.key("name").string(job.name);
+    w.key("ok").boolean(job.ok());
+    if (job.ran) {
+        w.key("stop").string(stopName(job.run.reason));
+        w.key("backend").string(job.backend);
+        w.key("cycles").number(static_cast<double>(job.run.cycles));
+        // Nested as structured JSON so the record reads as one
+        // document; a statsJson that does not parse is left out.
+        w.key("stats").embed(job.statsJson);
+    }
+    if (job.error)
+        w.key("error").string(
+            analysis::DiagnosticList::formatOne(*job.error));
+}
+
 std::string
 BatchResult::json(bool includeTiming) const
 {
-    json::Value root = json::Value::object();
-    root.set("schema",
-             static_cast<std::uint64_t>(kStatsJsonSchema));
-    root.set("job_count",
-             static_cast<std::uint64_t>(jobs.size()));
-    root.set("failures", static_cast<std::uint64_t>(failures()));
+    json::Writer w(2);
+    w.beginObject();
+    w.key("schema").number(kStatsJsonSchema);
+    w.key("job_count").number(static_cast<double>(jobs.size()));
+    w.key("failures").number(static_cast<double>(failures()));
     if (includeTiming) {
-        root.set("threads", static_cast<std::uint64_t>(threads));
-        root.set("wall_millis", wallMillis);
+        w.key("threads").number(threads);
+        w.key("wall_millis").number(wallMillis);
     }
-
-    json::Value arr = json::Value::array();
+    w.key("jobs").beginArray();
     for (const JobResult &j : jobs) {
-        json::Value o = json::Value::object();
-        o.set("name", j.name);
-        o.set("ok", j.ok());
-        if (j.ran) {
-            o.set("stop", stopName(j.run.reason));
-            o.set("backend", j.backend);
-            o.set("cycles", static_cast<std::uint64_t>(j.run.cycles));
-            // Per-job stats are kept as structured JSON so the report
-            // nests cleanly; the raw string is what determinism tests
-            // compare.
-            auto stats = json::parse(j.statsJson);
-            if (stats)
-                o.set("stats", std::move(stats.value()));
-        }
-        if (j.error)
-            o.set("error",
-                  analysis::DiagnosticList::formatOne(*j.error));
+        w.beginObject();
+        writeJobFields(w, j);
         if (includeTiming)
-            o.set("host_millis", j.hostMillis);
-        arr.push(std::move(o));
+            w.key("host_millis").number(j.hostMillis);
+        w.endObject();
     }
-    root.set("jobs", std::move(arr));
-
+    w.endArray();
     // Rates are meaningless summed across different programs, so the
     // merged block reports counts only (cycleNs = 0 zeroes the rates).
-    auto merged_ = json::parse(merged().json(0.0));
-    if (merged_)
-        root.set("merged", std::move(merged_.value()));
-
-    return root.dump(2);
+    w.key("merged").embed(merged().json(0.0));
+    w.endObject();
+    return w.take();
 }
 
 } // namespace ximd::farm

@@ -29,6 +29,10 @@
 
 #include "farm/run_spec.hh"
 
+namespace ximd::json {
+class Writer;
+} // namespace ximd::json
+
 namespace ximd::farm {
 
 class Farm
@@ -46,6 +50,14 @@ class Farm
     /** Execute a single spec on the calling thread. */
     static JobResult runOne(const RunSpec &spec);
 };
+
+/**
+ * Write @p job's record into the object @p w has open: name, ok, and
+ * for a job that ran stop, backend, cycles and its statsJson embedded
+ * as "stats"; then error when it failed. BatchResult::json and the
+ * service's results stream both write their job lines with it.
+ */
+void writeJobFields(json::Writer &w, const JobResult &job);
 
 } // namespace ximd::farm
 

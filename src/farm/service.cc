@@ -14,17 +14,6 @@ namespace ximd::farm {
 
 namespace {
 
-const char *
-stopName(StopReason reason)
-{
-    switch (reason) {
-      case StopReason::Halted:    return "halted";
-      case StopReason::MaxCycles: return "max-cycles";
-      case StopReason::Fault:     return "fault";
-    }
-    return "unknown";
-}
-
 json::Value
 responseBase()
 {
@@ -126,33 +115,23 @@ Service::emitResults(const Batch &b, const LineSink &out)
 {
     // One line per job, in spec order, with no host-timing fields:
     // the stream is a pure function of the submission.
+    const auto line = [&b](const char *event) {
+        json::Writer w;
+        w.beginObject();
+        w.key("schema").number(kStatsJsonSchema);
+        w.key("event").string(event);
+        w.key("batch").number(static_cast<double>(b.id));
+        return w;
+    };
     for (const JobResult &j : b.result.jobs) {
-        json::Value v = responseBase();
-        v.set("event", "job");
-        v.set("batch", static_cast<std::uint64_t>(b.id));
-        v.set("name", j.name);
-        v.set("ok", j.ok());
-        if (j.ran) {
-            v.set("stop", stopName(j.run.reason));
-            v.set("backend", j.backend);
-            v.set("cycles",
-                  static_cast<std::uint64_t>(j.run.cycles));
-            auto stats = json::parse(j.statsJson);
-            if (stats.hasValue())
-                v.set("stats", std::move(stats.value()));
-        }
-        if (j.error)
-            v.set("error",
-                  analysis::DiagnosticList::formatOne(*j.error));
-        out(v.dump(0));
+        json::Writer w = line("job");
+        writeJobFields(w, j);
+        out(w.endObject().str());
     }
-    json::Value v = responseBase();
-    v.set("event", "done");
-    v.set("batch", static_cast<std::uint64_t>(b.id));
-    v.set("jobs", static_cast<std::uint64_t>(b.result.jobs.size()));
-    v.set("failures",
-          static_cast<std::uint64_t>(b.result.failures()));
-    out(v.dump(0));
+    json::Writer w = line("done");
+    w.key("jobs").number(static_cast<double>(b.result.jobs.size()));
+    w.key("failures").number(static_cast<double>(b.result.failures()));
+    out(w.endObject().str());
 }
 
 Service::Action

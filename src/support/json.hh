@@ -1,6 +1,6 @@
 /**
  * @file
- * Minimal JSON value model, parser, and writer.
+ * Minimal JSON value model, reader, and streaming writer.
  *
  * The batch-run engine (src/farm/) consumes sweep specifications and
  * emits aggregate reports as JSON; the repository deliberately carries
@@ -9,22 +9,35 @@
  *
  *  - values: null, bool, number (stored as double; integers up to
  *    2^53 round-trip exactly), string, array, object;
- *  - objects preserve no duplicate keys (last one wins) and serialize
- *    in insertion order, so emitted reports are deterministic;
+ *  - a repeated object key keeps its first position and takes its
+ *    last value, and objects serialize in insertion order, so emitted
+ *    reports are deterministic;
  *  - parse errors are reported structurally (Result) with a byte
  *    offset and message, never by exception;
  *  - strings support the standard escapes; \uXXXX is accepted for
  *    ASCII code points (sufficient for machine-generated specs).
  *
  * Not supported (rejected at parse time): comments, trailing commas,
- * NaN/Infinity literals.
+ * NaN/Infinity literals, and nesting deeper than kMaxDepth arrays and
+ * objects (the reader recurses once per level, so the cap bounds its
+ * stack on hostile input).
+ *
+ * One reader and one writer serve every use. The reader is a
+ * tokenizer that reports values as events: parse() builds a Value
+ * tree from them, and Writer::embed() sends them straight into a
+ * Writer. Parsing costs O(n log n) in the document size: repeated
+ * keys are resolved by sorting each object's keys once it closes.
+ * Writer produces exactly the bytes Value::dump() does — dump() is a
+ * walk over one — so escaping, number text and indentation exist
+ * once, and a report can embed an already-serialized document (a
+ * job's statsJson) without building or re-parsing a tree.
  */
 
 #ifndef XIMD_SUPPORT_JSON_HH
 #define XIMD_SUPPORT_JSON_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -33,6 +46,9 @@
 #include "support/result.hh"
 
 namespace ximd::json {
+
+/** Deepest nesting of arrays and objects the reader accepts. */
+inline constexpr std::size_t kMaxDepth = 256;
 
 /** A parse failure: byte offset into the source plus a message. */
 struct ParseError
@@ -120,7 +136,7 @@ class Value
     std::string dump(int indent = 0) const;
 
   private:
-    void dumpTo(std::string &out, int indent, int depth) const;
+    friend class TreeSink; ///< parse()'s event handler (json.cc).
 
     Kind kind_;
     bool bool_ = false;
@@ -130,11 +146,86 @@ class Value
     std::vector<Member> obj_;
 };
 
-/** Parse @p text as one JSON document (trailing junk is an error). */
+/**
+ * Parse @p text as one JSON document (trailing junk is an error).
+ * O(n log n) in the size of @p text; nesting past kMaxDepth is an
+ * error at the offending bracket.
+ */
 Result<Value, ParseError> parse(std::string_view text);
 
-/** Escape and quote @p s as a JSON string literal. */
-std::string quote(std::string_view s);
+/**
+ * Streaming serializer. Appends to its buffer exactly the bytes
+ * Value::dump(indent) writes for the same values, without building a
+ * tree:
+ *
+ *     Writer w(2);
+ *     w.beginObject();
+ *     w.key("jobs").beginArray().number(1).endArray();
+ *     w.endObject();          // w.str() == the dump of {"jobs": [1]}
+ *
+ * Inside an object, key() names the member the next value call (or
+ * embed) writes. A key whose value never comes — the next key() or
+ * endObject() follows it directly, as after a failed embed() — is
+ * taken back, so the member is omitted.
+ */
+class Writer
+{
+  public:
+    /** @p indent as for Value::dump(). */
+    explicit Writer(int indent = 0) : indent_(indent) {}
+
+    Writer &beginObject();
+    Writer &endObject();
+    Writer &beginArray();
+    Writer &endArray();
+    Writer &key(std::string_view name);
+
+    Writer &null();
+    Writer &boolean(bool b);
+    Writer &number(double d);
+    Writer &string(std::string_view s);
+
+    /** Write the tree @p v (what Value::dump() is made of). */
+    Writer &value(const Value &v);
+
+    /**
+     * Write the JSON document @p doc as one value, re-indented to this
+     * writer's layout, with strings and numbers written as
+     * value(parse(doc)) would write them ("0.500000" becomes "0.5",
+     * "\u0041" becomes "A"). Members are copied in document order, so
+     * a repeated key stays repeated where parse() would merge it.
+     * Returns false and leaves the buffer byte-identical when @p doc
+     * is malformed (as parse() defines it).
+     */
+    bool embed(std::string_view doc);
+
+    /** The bytes written so far. */
+    const std::string &str() const { return out_; }
+
+    /** Move the buffer out; the writer is spent afterwards. */
+    std::string take() { return std::move(out_); }
+
+  private:
+    /** Everything but the buffer: what embed() restores on failure. */
+    struct Cursor
+    {
+        std::size_t depth = 0;   ///< Open arrays and objects.
+        bool empty = false;      ///< Innermost one has no element yet.
+        bool keyed = false;      ///< A key awaits its value.
+        std::size_t keyMark = 0; ///< Buffer size before that key.
+        bool keyEmpty = false;   ///< `empty` before that key.
+    };
+
+    void separate();
+    void newline();
+    void dropUnusedKey();
+    Writer &open(char bracket);
+    Writer &close(char bracket);
+
+    std::string out_;
+    int indent_;
+    Cursor at_;
+};
 
 } // namespace ximd::json
 

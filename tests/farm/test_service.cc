@@ -64,6 +64,15 @@ TEST(Service, RejectsGarbageAndUnknownCommands)
     out = request(service, R"({"cmd":"submit"})");
     ASSERT_EQ(out.size(), 1u);
     EXPECT_NE(out[0].find("\"ok\":false"), std::string::npos);
+
+    // 100,000 nested arrays once overflowed the parser's stack.
+    out = request(service, std::string(100000, '['));
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_NE(out[0].find("\"ok\":false"), std::string::npos)
+        << out[0];
+    out = request(service, R"({"cmd":"ping"})");
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_TRUE(lineSays(out[0], "event", "pong"));
 }
 
 std::vector<std::string>

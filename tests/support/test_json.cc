@@ -1,5 +1,6 @@
 #include "support/json.hh"
 
+#include <chrono>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -58,6 +59,8 @@ TEST(Json, RejectsMalformedInput)
     EXPECT_FALSE(parse("nul").hasValue());
     EXPECT_FALSE(parse("1 2").hasValue()); // trailing junk
     EXPECT_FALSE(parse("'single'").hasValue());
+    // 100,000 levels once overflowed the reader's stack.
+    EXPECT_FALSE(parse(std::string(100000, '[')).hasValue());
 }
 
 TEST(Json, ParseErrorCarriesOffset)
@@ -67,6 +70,16 @@ TEST(Json, ParseErrorCarriesOffset)
     EXPECT_EQ(r.error().offset, 4u);
     EXPECT_NE(r.error().formatted().find("byte 4"),
               std::string::npos);
+
+    // Nesting past kMaxDepth fails at the bracket that goes too deep.
+    const std::string open(kMaxDepth, '[');
+    const std::string close(kMaxDepth, ']');
+    EXPECT_TRUE(parse(open + close).hasValue());
+    r = parse(open + "{}" + close);
+    ASSERT_FALSE(r.hasValue());
+    EXPECT_EQ(r.error().offset, kMaxDepth);
+    EXPECT_NE(r.error().message.find("nesting"), std::string::npos)
+        << r.error().message;
 }
 
 TEST(Json, DumpIsInsertionOrdered)
@@ -76,6 +89,37 @@ TEST(Json, DumpIsInsertionOrdered)
     o.set("alpha", 2);
     o.set("zeta", 3); // replaces in place, keeps position
     EXPECT_EQ(o.dump(), "{\"zeta\":3,\"alpha\":2}");
+    // The reader resolves a repeated key by the same rule.
+    EXPECT_EQ(parseOk(R"({"zeta":1,"alpha":2,"zeta":3})").dump(),
+              o.dump());
+}
+
+TEST(Json, ManyKeysParseInBetterThanQuadraticTime)
+{
+    // 100,000 keys, every 10th one repeated later with a new value:
+    // a per-key scan for duplicates would take tens of seconds.
+    const int n = 100000;
+    std::string text = "{";
+    for (int i = 0; i < n; ++i)
+        text += "\"k" + std::to_string(i) + "\":" + std::to_string(i) + ",";
+    for (int i = 0; i < n; i += 10)
+        text += "\"k" + std::to_string(i) + "\":-" + std::to_string(i) + ",";
+    text.back() = '}';
+
+    const auto start = std::chrono::steady_clock::now();
+    const Value v = parseOk(text);
+    const double sec = std::chrono::duration<double>(
+                           std::chrono::steady_clock::now() - start)
+                           .count();
+    EXPECT_LT(sec, 2.0);
+
+    ASSERT_TRUE(v.isObject());
+    ASSERT_EQ(v.members().size(), static_cast<std::size_t>(n));
+    for (int i : {0, 1, 9, 10, 12345, 99990, 99999}) {
+        const Value::Member &m = v.members()[static_cast<std::size_t>(i)];
+        EXPECT_EQ(m.first, "k" + std::to_string(i));
+        EXPECT_EQ(m.second.asInt(), i % 10 == 0 ? -i : i) << m.first;
+    }
 }
 
 TEST(Json, IntegersRoundTripExactly)
@@ -109,8 +153,119 @@ TEST(Json, RoundTripStable)
 
 TEST(Json, QuoteEscapes)
 {
-    EXPECT_EQ(quote("a\"b"), "\"a\\\"b\"");
-    EXPECT_EQ(quote("tab\t"), "\"tab\\t\"");
+    EXPECT_EQ(Writer().string("a\"b").str(), "\"a\\\"b\"");
+    EXPECT_EQ(Writer().string("tab\t").str(), "\"tab\\t\"");
+    EXPECT_EQ(Writer().string(std::string("\x01\r\\", 3)).str(),
+              "\"\\u0001\\r\\\\\"");
+}
+
+/** A tree with every kind, empty containers below the top level. */
+Value
+sampleTree()
+{
+    Value o = Value::object();
+    o.set("big", 9007199254740992.0); // 2^53: still an integer
+    o.set("bigger", 1152921504606846976.0); // 2^60: past 2^53
+    o.set("neg_zero", -0.0);
+    o.set("huge", 1e300);
+    o.set("frac", 0.421001);
+    o.set("ctl", std::string("a\x01\x1f\n\t\"\\z"));
+    o.set("flags", Value::array());
+    Value inner = Value::object();
+    inner.set("none", Value());
+    inner.set("empty", Value::object());
+    Value arr = Value::array();
+    arr.push(true);
+    arr.push(Value::array());
+    arr.push(-7);
+    inner.set("list", std::move(arr));
+    o.set("inner", std::move(inner));
+    return o;
+}
+
+/** sampleTree() again, written as Writer calls rather than a tree. */
+std::string
+writeSample(int indent)
+{
+    Writer w(indent);
+    w.beginObject();
+    w.key("big").number(9007199254740992.0);
+    w.key("bigger").number(1152921504606846976.0);
+    w.key("neg_zero").number(-0.0);
+    w.key("huge").number(1e300);
+    w.key("frac").number(0.421001);
+    w.key("ctl").string(std::string("a\x01\x1f\n\t\"\\z"));
+    w.key("flags").beginArray().endArray();
+    w.key("inner").beginObject();
+    w.key("none").null();
+    w.key("empty").beginObject().endObject();
+    w.key("list").beginArray().boolean(true);
+    w.beginArray().endArray();
+    w.number(-7).endArray();
+    w.endObject();
+    w.endObject();
+    return w.take();
+}
+
+TEST(Json, WriterMatchesDump)
+{
+    const Value tree = sampleTree();
+    for (int indent : {0, 2, 4})
+        EXPECT_EQ(writeSample(indent), tree.dump(indent))
+            << "indent " << indent;
+    // Pin the bytes themselves, not only the agreement.
+    EXPECT_EQ(writeSample(0),
+              R"({"big":9007199254740992,"bigger":1152921504606846976,)"
+              R"("neg_zero":0,"huge":1e+300,"frac":0.421001,)"
+              R"("ctl":"a\u0001\u001f\n\t\"\\z","flags":[],)"
+              R"("inner":{"none":null,"empty":{},"list":[true,[],-7]}})");
+    EXPECT_EQ(Writer(2).beginArray().number(1).beginObject().endObject()
+                  .endArray().str(),
+              "[\n  1,\n  {}\n]");
+}
+
+TEST(Json, EmbedWritesWhatParseThenDumpWrites)
+{
+    const std::string doc = sampleTree().dump(4);
+    for (int indent : {0, 2, 4}) {
+        Writer w(indent);
+        w.beginArray().number(1);
+        ASSERT_TRUE(w.embed(doc));
+        w.endArray();
+
+        Value expect = Value::array();
+        expect.push(1);
+        expect.push(parseOk(doc));
+        EXPECT_EQ(w.str(), expect.dump(indent)) << "indent " << indent;
+    }
+}
+
+TEST(Json, EmbedNormalizesNumbersAndEscapes)
+{
+    const auto embedded = [](std::string_view doc) {
+        Writer w;
+        EXPECT_TRUE(w.embed(doc)) << doc;
+        return w.take();
+    };
+    EXPECT_EQ(embedded("0.500000"), "0.5");
+    EXPECT_EQ(embedded("1E3"), "1000");
+    EXPECT_EQ(embedded(R"("\/")"), R"("/")");
+    EXPECT_EQ(embedded(R"("\u0041")"), R"("A")");
+    EXPECT_EQ(embedded("{ \"a\" : [ 1 , 2.50 ] }"), R"({"a":[1,2.5]})");
+}
+
+TEST(Json, EmbedRejectsMalformedAndLeavesBufferUntouched)
+{
+    for (const char *bad : {"{", "[1,]", "1 2"}) {
+        Writer w(2);
+        w.beginObject().key("a").number(1).key("stats");
+        const std::string before = w.str();
+        EXPECT_FALSE(w.embed(bad)) << bad;
+        EXPECT_EQ(w.str(), before) << bad;
+        // The member whose value failed is omitted.
+        w.endObject();
+        EXPECT_EQ(w.str(), "{\n  \"a\": 1\n}") << bad;
+    }
 }
 
 } // namespace
