@@ -192,16 +192,17 @@ else
     echo "==> clang-tidy not installed; skipping stage"
 fi
 
-# Snapshot / fuzz / fault / memory / JSON stage: the serialization
-# substrate, the fault injector and the paged memory poke at raw state
-# and page buffers, and the JSON reader is an input boundary (service
-# request lines, sweep files, fault plans) with a nesting cap and
-# large-input tests, so run those suites again under ASan+UBSan
-# explicitly (they are also part of the full runs above; this stage
-# keeps them visible and gating on their own).
-echo "==> test (sanitize: snapshot + fuzz + fault + memory + json suites)"
+# Snapshot / fuzz / fault / memory / JSON / interval stage: the
+# serialization substrate, the fault injector and the paged memory poke
+# at raw state and page buffers, the JSON reader is an input boundary
+# (service request lines, sweep files, fault plans) with a nesting cap
+# and large-input tests, and the race engine's interval domain indexes
+# a flat rows x slots state array by hand, so run those suites again
+# under ASan+UBSan explicitly (they are also part of the full runs
+# above; this stage keeps them visible and gating on their own).
+echo "==> test (sanitize: snapshot + fuzz + fault + memory + json + interval suites)"
 ctest --test-dir build-sanitize -j "$JOBS" --output-on-failure \
-    -R 'StateIo|Snapshot|FaultCampaign|DifferentialFuzz|Memory\.|Json\.|cli_xfarm_checkpoint|cli_xfarm_resume|cli_xfarm_faults'
+    -R 'StateIo|Snapshot|FaultCampaign|DifferentialFuzz|Memory\.|Json\.|ClassIntervals\.|RaceEquivalence\.|cli_xfarm_checkpoint|cli_xfarm_resume|cli_xfarm_faults'
 
 # Coverage stage: gcov line coverage of the execution layers.
 echo "==> coverage (gcov: src/sim + src/core)"

@@ -23,9 +23,11 @@
 # workers) is additionally summarized as a top-level "xfarm_scaling"
 # section with speedups relative to the 1-worker run, the
 # compiler-pipeline timings
-# (bench_sched_compile) as a top-level "sched_compile" section, and
-# the simulate*/interp-vs-threaded pairs as a top-level
-# "execution_backends" section with per-row cycles/s and speedup.
+# (bench_sched_compile) as a top-level "sched_compile" section, the
+# simulate*/interp-vs-threaded pairs as a top-level
+# "execution_backends" section with per-row cycles/s and speedup, and
+# the race engine's per-program lint time (bench_race_lint) as a
+# top-level "race_lint" section.
 #
 #   scripts/run_benchmarks.sh [build-dir] [min-time]
 #
@@ -98,7 +100,7 @@ for fname in sorted(os.listdir(tmp)):
             "iterations": b.get("iterations"),
         }
         for counter in ("machine_cycles_per_s", "machines_per_s",
-                        "jobs_per_s"):
+                        "jobs_per_s", "us_per_program", "programs"):
             if counter in b:
                 entry[counter] = b[counter]
         merged["benchmarks"].append(entry)
@@ -208,6 +210,22 @@ if widths:
         }
         for w, b in sorted(widths.items())
     ]
+
+# Race-lint summary (bench_race_lint): analyzeRaces microseconds per
+# program over each lint corpus (built-in grid, xcc/C goldens, 200
+# random programs, Livermore compiles) -- the cost that decides
+# whether the race engine can run as the always-on cross-stream check.
+lint = [
+    {
+        "corpus": b["name"].split("/", 1)[1],
+        "programs": int(b["programs"]),
+        "us_per_program": round(b["us_per_program"], 2),
+    }
+    for b in merged["benchmarks"]
+    if b["binary"] == "bench_race_lint" and "us_per_program" in b
+]
+if lint:
+    merged["race_lint"] = lint
 
 # Execution-backend summary: every simulate*/<backend>/... row pairs
 # an interpreter run with its threaded-code twin; report simulated

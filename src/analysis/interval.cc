@@ -133,14 +133,44 @@ externallyWrittenRegs(const Program &prog, const ProgramCfg &cfg,
 ClassIntervalAnalysis::ClassIntervalAnalysis(
     const Program &prog, const StreamCfg &cfg,
     std::vector<FuId> members, std::vector<char> externalReg)
-    : prog_(prog), cfg_(cfg), members_(std::move(members)),
-      externalReg_(std::move(externalReg))
+    : prog_(prog), cfg_(cfg), members_(std::move(members))
 {
+    // Entry state: initializers as singletons, everything else 0
+    // (the register file zero-fills), externals ⊤. A register the
+    // class never names keeps this value on every visited row.
+    entry_.assign(kNumRegisters, Interval::single(0));
+    for (const auto &[reg, value] : prog_.regInit())
+        entry_[reg] = Interval::single(static_cast<SWord>(value));
+    for (RegId r = 0; r < kNumRegisters; ++r)
+        if (externalReg[r])
+            entry_[r] = Interval::top();
+
+    // One slot per register a member parcel reads or writes, except
+    // externals: those are pinned to ⊤ and need no state either.
+    slotOf_.assign(kNumRegisters, kNoSlot);
+    auto name = [&](RegId r) {
+        if (r < kNumRegisters && !externalReg[r] && slotOf_[r] == kNoSlot)
+            slotOf_[r] = static_cast<std::uint16_t>(slots_++);
+    };
     const InstAddr rows = prog_.size();
-    in_.assign(rows, State(kNumRegisters, Interval::empty()));
-    factsIn_.assign(rows, std::vector<CcFact>(members_.size()));
+    for (InstAddr row = 0; row < rows; ++row)
+        for (FuId m : members_) {
+            const DataOp &d = prog_.row(row)[m].data;
+            if (d.a.isReg())
+                name(d.a.regId());
+            if (d.b.isReg())
+                name(d.b.regId());
+            if (d.hasDest())
+                name(d.dest);
+        }
+
+    in_.assign(rows * slots_, Interval::empty());
+    factsIn_.assign(rows * members_.size(), CcFact{});
     visited_.assign(rows, 0);
     visits_.assign(rows, 0);
+    out_.resize(slots_);
+    outFacts_.resize(members_.size());
+    wrote_.assign(slots_, 0);
     run();
 }
 
@@ -151,25 +181,30 @@ ClassIntervalAnalysis::visited(InstAddr row) const
 }
 
 Interval
-ClassIntervalAnalysis::regAt(InstAddr row, RegId r) const
+ClassIntervalAnalysis::valueIn(const Interval *st, RegId r) const
 {
-    if (!visited(row) || r >= kNumRegisters)
+    if (r >= kNumRegisters)
         return Interval::top();
-    return in_[row][r];
+    const std::uint16_t s = slotOf_[r];
+    return s == kNoSlot ? entry_[r] : st[s];
 }
 
 Interval
-ClassIntervalAnalysis::evalIn(const State &st,
+ClassIntervalAnalysis::regAt(InstAddr row, RegId r) const
+{
+    if (!visited(row))
+        return Interval::top();
+    return valueIn(in_.data() + row * slots_, r);
+}
+
+Interval
+ClassIntervalAnalysis::evalIn(const Interval *st,
                               const Operand &op) const
 {
     if (op.isImm())
         return Interval::single(static_cast<SWord>(op.immValue()));
-    if (op.isReg()) {
-        if (op.regId() >= kNumRegisters ||
-            externalReg_[op.regId()])
-            return Interval::top();
-        return st[op.regId()];
-    }
+    if (op.isReg())
+        return valueIn(st, op.regId());
     return Interval::top();
 }
 
@@ -181,7 +216,7 @@ ClassIntervalAnalysis::evalOperand(InstAddr row,
         return Interval::single(static_cast<SWord>(op.immValue()));
     if (!visited(row))
         return Interval::top();
-    return evalIn(in_[row], op);
+    return evalIn(in_.data() + row * slots_, op);
 }
 
 Interval
@@ -211,8 +246,8 @@ ClassIntervalAnalysis::compareOutcome(InstAddr row, FuId fu) const
     const DataOp &d = prog_.parcel(row, fu).data;
     if (opInfo(d.op).cls != OpClass::IntCompare)
         return std::nullopt;
-    const Interval a = evalIn(in_[row], d.a);
-    const Interval b = evalIn(in_[row], d.b);
+    const Interval a = evalOperand(row, d.a);
+    const Interval b = evalOperand(row, d.b);
     if (a.isEmpty() || b.isEmpty())
         return std::nullopt;
     switch (d.op) {
@@ -257,16 +292,17 @@ ClassIntervalAnalysis::compareOutcome(InstAddr row, FuId fu) const
     }
 }
 
-ClassIntervalAnalysis::State
-ClassIntervalAnalysis::transfer(InstAddr row, const State &in) const
+void
+ClassIntervalAnalysis::transfer(InstAddr row)
 {
-    State out = in;
     // All members execute the row in the same cycle; reads observe
-    // beginning-of-cycle state, so evaluate every write from `in`
-    // before applying any of them.
-    std::vector<std::pair<RegId, Interval>> writes;
+    // beginning-of-cycle state, so every write is evaluated from `in`
+    // while landing in out_. Two members writing one register join.
+    const Interval *in = in_.data() + row * slots_;
+    std::copy(in, in + slots_, out_.begin());
+    const InstRow &parcels = prog_.row(row);
     for (FuId m : members_) {
-        const DataOp &d = prog_.parcel(row, m).data;
+        const DataOp &d = parcels[m].data;
         if (!d.hasDest())
             continue;
         Interval v = Interval::top();
@@ -297,16 +333,19 @@ ClassIntervalAnalysis::transfer(InstAddr row, const State &in) const
             // Loads, divisions, logic/shift ops, float ops: ⊤.
             break;
         }
-        writes.emplace_back(d.dest, v);
+        const std::uint16_t s = slotOf_[d.dest];
+        if (s == kNoSlot)
+            continue; // external: pinned to ⊤
+        out_[s] = wrote_[s] ? Interval::join(out_[s], v) : v;
+        wrote_[s] = 1;
     }
-    std::vector<char> seen(kNumRegisters, 0);
-    for (const auto &[dest, v] : writes) {
-        if (externalReg_[dest])
-            continue; // pinned to ⊤
-        out[dest] = seen[dest] ? Interval::join(out[dest], v) : v;
-        seen[dest] = 1;
-    }
-    return out;
+}
+
+bool
+ClassIntervalAnalysis::wrote(RegId r) const
+{
+    const std::uint16_t s = r < kNumRegisters ? slotOf_[r] : kNoSlot;
+    return s != kNoSlot && wrote_[s];
 }
 
 namespace {
@@ -373,32 +412,32 @@ refine(Interval v, Opcode op, bool regLeft, std::int64_t k,
 } // namespace
 
 bool
-ClassIntervalAnalysis::joinInto(InstAddr row, const State &state,
-                                const std::vector<CcFact> &facts)
+ClassIntervalAnalysis::joinInto(InstAddr row, const Interval *state,
+                                const CcFact *facts)
 {
+    Interval *in = in_.data() + row * slots_;
+    CcFact *inFacts = factsIn_.data() + row * members_.size();
     if (!visited_[row]) {
         visited_[row] = 1;
-        in_[row] = state;
-        factsIn_[row] = facts;
+        std::copy(state, state + slots_, in);
+        std::copy(facts, facts + members_.size(), inFacts);
         visits_[row] = 1;
         return true;
     }
     bool changed = false;
     const bool widen = visits_[row] > kWidenAfter;
-    for (RegId r = 0; r < kNumRegisters; ++r) {
+    for (std::size_t s = 0; s < slots_; ++s) {
         const Interval merged =
-            widen ? Interval::widen(in_[row][r],
-                                    Interval::join(in_[row][r],
-                                                   state[r]))
-                  : Interval::join(in_[row][r], state[r]);
-        if (!(merged == in_[row][r])) {
-            in_[row][r] = merged;
+            widen ? Interval::widen(in[s], Interval::join(in[s], state[s]))
+                  : Interval::join(in[s], state[s]);
+        if (!(merged == in[s])) {
+            in[s] = merged;
             changed = true;
         }
     }
     // Facts join by agreement (must-analysis).
     for (std::size_t i = 0; i < members_.size(); ++i) {
-        CcFact &cur = factsIn_[row][i];
+        CcFact &cur = inFacts[i];
         if (cur.valid && !(cur == facts[i])) {
             cur = CcFact{};
             changed = true;
@@ -409,35 +448,30 @@ ClassIntervalAnalysis::joinInto(InstAddr row, const State &state,
     return changed;
 }
 
-void
-ClassIntervalAnalysis::propagate(InstAddr row, const State &out,
-                                 std::vector<char> &dirty)
+unsigned
+ClassIntervalAnalysis::propagate(InstAddr row, InstAddr changed[2])
 {
-    const FuId rep = members_.front();
-    const ControlOp &c = prog_.parcel(row, rep).ctrl;
+    const InstRow &parcels = prog_.row(row);
+    const ControlOp &c = parcels[members_.front()].ctrl;
+    const CcFact *inFacts = factsIn_.data() + row * members_.size();
 
-    // Registers written this row (facts about them go stale).
-    std::vector<char> wrote(kNumRegisters, 0);
-    for (FuId m : members_) {
-        const DataOp &d = prog_.parcel(row, m).data;
-        if (d.hasDest())
-            wrote[d.dest] = 1;
-    }
-
-    // Outgoing facts: kill on overwrite, then gen from this row's
-    // compares (the new cc commits at end of cycle, so it governs
-    // the successors).
-    std::vector<CcFact> outFacts = factsIn_[row];
-    for (CcFact &f : outFacts)
-        if (f.valid &&
-            (wrote[f.reg] || (!f.isImm && wrote[f.kreg])))
+    // Outgoing facts: kill on overwrite (transfer marked wrote_),
+    // then gen from this row's compares (the new cc commits at end
+    // of cycle, so it governs the successors).
+    std::copy(inFacts, inFacts + members_.size(), outFacts_.begin());
+    for (CcFact &f : outFacts_)
+        if (f.valid && (wrote(f.reg) || (!f.isImm && wrote(f.kreg))))
             f = CcFact{};
+    // A fact needs registers the row leaves alone; a member's operand
+    // lacks a slot only when it is external.
+    auto stable = [&](RegId r) {
+        return r < kNumRegisters && slotOf_[r] != kNoSlot && !wrote(r);
+    };
     for (std::size_t i = 0; i < members_.size(); ++i) {
-        const FuId m = members_[i];
-        const DataOp &d = prog_.parcel(row, m).data;
+        const DataOp &d = parcels[members_[i]].data;
         if (opInfo(d.op).cls != OpClass::IntCompare)
             continue;
-        outFacts[i] = CcFact{};
+        outFacts_[i] = CcFact{};
         const bool aReg = d.a.isReg();
         const bool bReg = d.b.isReg();
         CcFact f;
@@ -459,33 +493,32 @@ ClassIntervalAnalysis::propagate(InstAddr row, const State &out,
         } else {
             continue;
         }
-        if (f.reg >= kNumRegisters || externalReg_[f.reg] ||
-            wrote[f.reg])
-            continue;
-        if (!f.isImm && (f.kreg >= kNumRegisters ||
-                         externalReg_[f.kreg] || wrote[f.kreg]))
+        if (!stable(f.reg) || (!f.isImm && !stable(f.kreg)))
             continue;
         f.valid = true;
-        outFacts[i] = f;
+        outFacts_[i] = f;
     }
 
-    // A cc-true branch on a member's fact refines each out-edge.
+    // A cc-true branch on a member's fact refines each out-edge. The
+    // guard points into the row's live facts: when a self-loop's
+    // first join resets them, the second edge sees the reset fact and
+    // the re-queued row later sends both edges unguarded.
     const CcFact *guard = nullptr;
     if (c.kind == CondKind::CcTrue) {
         for (std::size_t i = 0; i < members_.size(); ++i) {
             if (members_[i] != c.index)
                 continue;
-            const CcFact &f = factsIn_[row][i];
+            const CcFact &f = inFacts[i];
             // The branch reads the beginning-of-cycle cc, which the
             // incoming fact describes — unless this row just
             // invalidated the compared values.
-            if (f.valid && !wrote[f.reg] &&
-                (f.isImm || !wrote[f.kreg]))
+            if (f.valid && !wrote(f.reg) && (f.isImm || !wrote(f.kreg)))
                 guard = &f;
             break;
         }
     }
 
+    unsigned n = 0;
     auto send = [&](InstAddr succ, std::optional<bool> outcome) {
         if (succ >= prog_.size())
             return;
@@ -493,26 +526,33 @@ ClassIntervalAnalysis::propagate(InstAddr row, const State &out,
             std::int64_t k = guard->imm;
             bool haveK = guard->isImm;
             if (!haveK) {
-                const Interval ki = out[guard->kreg];
+                const Interval ki = valueIn(out_.data(), guard->kreg);
                 if (ki.isSingle()) {
                     k = ki.lo;
                     haveK = true;
                 }
             }
             if (haveK) {
-                State refined = out;
-                refined[guard->reg] =
-                    refine(out[guard->reg], guard->op,
+                const Interval v =
+                    refine(valueIn(out_.data(), guard->reg), guard->op,
                            guard->regLeft, k, *outcome);
-                if (refined[guard->reg].isEmpty())
+                if (v.isEmpty())
                     return; // edge infeasible
-                if (joinInto(succ, refined, outFacts))
-                    dirty[succ] = 1;
+                // Join out_ with the guarded register trimmed, then
+                // restore it for the other edge.
+                const std::uint16_t s = slotOf_[guard->reg];
+                XIMD_ASSERT(s != kNoSlot, "refined register r",
+                            guard->reg, " has no slot");
+                const Interval saved = out_[s];
+                out_[s] = v;
+                if (joinInto(succ, out_.data(), outFacts_.data()))
+                    changed[n++] = succ;
+                out_[s] = saved;
                 return;
             }
         }
-        if (joinInto(succ, out, outFacts))
-            dirty[succ] = 1;
+        if (joinInto(succ, out_.data(), outFacts_.data()))
+            changed[n++] = succ;
     };
 
     switch (c.kind) {
@@ -532,6 +572,7 @@ ClassIntervalAnalysis::propagate(InstAddr row, const State &out,
             send(c.t2, std::nullopt);
         break;
     }
+    return n;
 }
 
 void
@@ -540,19 +581,14 @@ ClassIntervalAnalysis::run()
     if (prog_.empty())
         return;
 
-    // Entry state: initializers as singletons, everything else 0
-    // (the register file zero-fills), externals ⊤.
-    State entry(kNumRegisters, Interval::single(0));
-    for (const auto &[reg, value] : prog_.regInit())
-        entry[reg] = Interval::single(static_cast<SWord>(value));
-    for (RegId r = 0; r < kNumRegisters; ++r)
-        if (externalReg_[r])
-            entry[r] = Interval::top();
-
     visited_[0] = 1;
-    in_[0] = entry;
     visits_[0] = 1;
+    for (RegId r = 0; r < kNumRegisters; ++r)
+        if (slotOf_[r] != kNoSlot)
+            in_[slotOf_[r]] = entry_[r];
 
+    // FIFO worklist; a row is queued at most once at a time, and the
+    // successors a visit changed join the queue in increasing order.
     std::deque<InstAddr> work;
     std::vector<char> queued(prog_.size(), 0);
     work.push_back(0);
@@ -563,13 +599,16 @@ ClassIntervalAnalysis::run()
         queued[row] = 0;
         if (!cfg_.isReachable(row))
             continue;
-        std::vector<char> dirty(prog_.size(), 0);
-        const State out = transfer(row, in_[row]);
-        propagate(row, out, dirty);
-        for (InstAddr s = 0; s < prog_.size(); ++s)
-            if (dirty[s] && !queued[s]) {
-                work.push_back(s);
-                queued[s] = 1;
+        transfer(row);
+        InstAddr changed[2];
+        const unsigned n = propagate(row, changed);
+        std::fill(wrote_.begin(), wrote_.end(), 0);
+        if (n == 2 && changed[1] < changed[0])
+            std::swap(changed[0], changed[1]);
+        for (unsigned i = 0; i < n; ++i)
+            if (!queued[changed[i]]) {
+                work.push_back(changed[i]);
+                queued[changed[i]] = 1;
             }
     }
 }

@@ -24,6 +24,14 @@
  *    later `if cc` branch trims r's interval on each out-edge. This
  *    keeps `iadd r,#1,r` / `eq r,#N` loops exactly bounded without
  *    needing a widening threshold to converge first.
+ *
+ * Cost: a class's state holds only the registers its member parcels
+ * name (one slot each, in one flat rows x slots array); every other
+ * register keeps its entry value (`.init`, 0, or ⊤ when written
+ * outside the class) on every visited row, so it needs no storage.
+ * A worklist visit costs O(slots + members) and allocates nothing; a
+ * counter loop still takes one visit per trip until its rows widen
+ * (after 64 changes), and that is the remaining cost.
  */
 
 #ifndef XIMD_ANALYSIS_INTERVAL_HH
@@ -141,24 +149,38 @@ class ClassIntervalAnalysis
         }
     };
 
-    using State = std::vector<Interval>; // one per register
+    static constexpr std::uint16_t kNoSlot = 0xffff;
 
     void run();
-    State transfer(InstAddr row, const State &in) const;
-    void propagate(InstAddr row, const State &out,
-                   std::vector<char> &dirty);
-    bool joinInto(InstAddr row, const State &state,
-                  const std::vector<CcFact> &facts);
-    Interval evalIn(const State &st, const Operand &op) const;
+    /** in_[row] through the row's data ops into out_; marks wrote_. */
+    void transfer(InstAddr row);
+    /** Send out_ along the row's edges; the successors whose state
+     *  changed go to @p changed, and their count is returned. */
+    unsigned propagate(InstAddr row, InstAddr changed[2]);
+    bool joinInto(InstAddr row, const Interval *state,
+                  const CcFact *facts);
+    /** @p r in state @p st (one row's slots), or its entry value. */
+    Interval valueIn(const Interval *st, RegId r) const;
+    Interval evalIn(const Interval *st, const Operand &op) const;
+    /** Whether the row being visited writes @p r. */
+    bool wrote(RegId r) const;
 
     const Program &prog_;
     const StreamCfg &cfg_;
     std::vector<FuId> members_;
-    std::vector<char> externalReg_;
-    std::vector<State> in_;                      // per row
-    std::vector<std::vector<CcFact>> factsIn_;   // per row, per member
+    std::vector<Interval> entry_;        // per register: row-0 value
+    std::vector<std::uint16_t> slotOf_;  // per register, or kNoSlot
+    std::size_t slots_ = 0;
+    std::vector<Interval> in_;           // rows x slots
+    std::vector<CcFact> factsIn_;        // rows x members
     std::vector<char> visited_;
     std::vector<unsigned> visits_;
+
+    // Per-visit work buffers, reused: transfer's output state, the facts
+    // leaving the row, and which slots the row writes.
+    std::vector<Interval> out_;
+    std::vector<CcFact> outFacts_;
+    std::vector<char> wrote_;
 };
 
 /**
