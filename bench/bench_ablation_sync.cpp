@@ -15,7 +15,7 @@
 #include "bench_util.hh"
 
 #include "asm/assembler.hh"
-#include "core/ximd_machine.hh"
+#include "core/machine.hh"
 #include "support/random.hh"
 #include "workloads/bitcount.hh"
 #include "workloads/minmax.hh"
@@ -31,7 +31,7 @@ runWith(const Program &prog, bool registeredSync)
 {
     MachineConfig cfg;
     cfg.registeredSync = registeredSync;
-    XimdMachine m(prog, cfg);
+    Machine m(prog, cfg);
     const RunResult r = m.run(10'000'000);
     if (!r.ok()) {
         std::cerr << "ablation run failed: " << r.faultMessage << "\n";
@@ -107,7 +107,7 @@ registeredSyncOverhead(benchmark::State &state)
     for (auto _ : state) {
         MachineConfig cfg;
         cfg.registeredSync = reg;
-        XimdMachine m(p, cfg);
+        Machine m(p, cfg);
         m.run();
         benchmark::DoNotOptimize(m.cycle());
     }
@@ -137,7 +137,7 @@ busyWaitWatchdog(benchmark::State &state)
     for (auto _ : state) {
         MachineConfig cfg;
         cfg.fastForward = fastForward;
-        XimdMachine m(p, cfg);
+        Machine m(p, cfg);
         const RunResult r = m.run(kBudget);
         benchmark::DoNotOptimize(r.cycles);
         cycles += r.cycles;

@@ -9,8 +9,7 @@
 
 #include "bench_util.hh"
 
-#include "core/vliw_machine.hh"
-#include "core/ximd_machine.hh"
+#include "core/machine.hh"
 #include "isa/disasm.hh"
 #include "sched/codegen.hh"
 #include "workloads/kernels.hh"
@@ -58,8 +57,8 @@ printTables()
     std::cout << "\npaper schedule (4 FUs):\n"
               << formatProgram(prog) << "\n";
 
-    XimdMachine x(workloads::tprocPaper(a, b, c, d));
-    VliwMachine v(workloads::tprocPaper(a, b, c, d));
+    Machine x(workloads::tprocPaper(a, b, c, d));
+    Machine v(workloads::tprocPaper(a, b, c, d), MachineConfig::vliw());
     x.run();
     v.run();
 
@@ -93,7 +92,7 @@ printTables()
     for (FuId w : {1u, 2u, 4u, 8u}) {
         auto code = orDie(sched::generateCodeChecked(
             tprocIr(a, b, c, d), {.width = w}));
-        XimdMachine m(code.program);
+        Machine m(code.program);
         m.run();
         if (static_cast<SWord>(wordToInt(m.peekMem(100))) !=
             workloads::referenceTproc(a, b, c, d))
@@ -111,7 +110,7 @@ simulateTproc(benchmark::State &state)
     // this row measures machine set-up: it counts machines, not cycles.
     Program prog = workloads::tprocPaper(1, 2, 3, 4);
     for (auto _ : state) {
-        XimdMachine m(prog);
+        Machine m(prog);
         m.run();
         benchmark::DoNotOptimize(m.readReg(0));
     }

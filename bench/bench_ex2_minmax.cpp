@@ -15,8 +15,7 @@
 
 #include "bench_util.hh"
 
-#include "core/vliw_machine.hh"
-#include "core/ximd_machine.hh"
+#include "core/machine.hh"
 #include "support/random.hh"
 #include "workloads/minmax.hh"
 #include "workloads/reference.hh"
@@ -55,8 +54,8 @@ printTables()
         const auto data = makeData(n, n);
         const auto [lo, hi] = referenceMinmax(data);
 
-        XimdMachine x(minmaxXimd(data));
-        VliwMachine v(minmaxVliw(data));
+        Machine x(minmaxXimd(data));
+        Machine v(minmaxVliw(data), MachineConfig::vliw());
         x.run();
         v.run();
         if (wordToInt(x.readRegByName("min")) != lo ||
@@ -84,8 +83,8 @@ printTables()
     t2.header();
     const auto data = makeData(512, 99);
     for (unsigned s = 1; s <= kMaxSearches; ++s) {
-        XimdMachine x(multiSearchXimd(s, data));
-        VliwMachine v(multiSearchVliw(s, data));
+        Machine x(multiSearchXimd(s, data));
+        Machine v(multiSearchVliw(s, data), MachineConfig::vliw());
         x.run();
         v.run();
         const auto expect = referenceMultiSearch(s, data);
@@ -114,7 +113,7 @@ simulateMinmax(benchmark::State &state, Backend backend)
     const MachineConfig cfg = MachineConfig{}.withBackend(backend);
     Cycle cycles = 0;
     for (auto _ : state) {
-        XimdMachine m(prog, cfg);
+        Machine m(prog, cfg);
         m.run();
         cycles += m.cycle();
     }

@@ -11,8 +11,7 @@
 
 #include "bench_util.hh"
 
-#include "core/vliw_machine.hh"
-#include "core/ximd_machine.hh"
+#include "core/machine.hh"
 #include "support/random.hh"
 #include "workloads/bitcount.hh"
 #include "workloads/reference.hh"
@@ -37,9 +36,8 @@ makeData(std::size_t n, double density, std::uint64_t seed)
     return data;
 }
 
-template <typename M>
 void
-verify(M &m, const std::vector<Word> &data)
+verify(const Machine &m, const std::vector<Word> &data)
 {
     const Word b0 = m.program().symbolOrDie("B0");
     const auto expect = referenceBitcountCumulative(data);
@@ -68,9 +66,9 @@ printTables()
     t.header();
     for (double density : {0.1, 0.3, 0.5, 0.8}) {
         const auto data = makeData(64, density, 11);
-        XimdMachine x(bitcountXimd(data));
-        VliwMachine s(bitcountVliwSerial(data));
-        VliwMachine l(bitcountVliwLockstep(data));
+        Machine x(bitcountXimd(data));
+        Machine s(bitcountVliwSerial(data), MachineConfig::vliw());
+        Machine l(bitcountVliwLockstep(data), MachineConfig::vliw());
         x.run();
         s.run();
         l.run();
@@ -94,9 +92,9 @@ printTables()
     t2.header();
     for (std::size_t n : {16u, 64u, 256u, 1024u}) {
         const auto data = makeData(n, 0.5, n);
-        XimdMachine x(bitcountXimd(data));
-        VliwMachine s(bitcountVliwSerial(data));
-        VliwMachine l(bitcountVliwLockstep(data));
+        Machine x(bitcountXimd(data));
+        Machine s(bitcountVliwSerial(data), MachineConfig::vliw());
+        Machine l(bitcountVliwLockstep(data), MachineConfig::vliw());
         x.run();
         s.run();
         l.run();
@@ -125,8 +123,8 @@ printTables()
                 v |= 1u << rng.range(0, 23);
             data[i] = v;
         }
-        XimdMachine x(bitcountXimd(data));
-        VliwMachine s(bitcountVliwSerial(data));
+        Machine x(bitcountXimd(data));
+        Machine s(bitcountVliwSerial(data), MachineConfig::vliw());
         x.run();
         s.run();
         verify(x, data);
@@ -141,7 +139,7 @@ printTables()
     section("FIG11 control structure (N = 16, density 0.5)");
     {
         const auto data = makeData(16, 0.5, 5);
-        XimdMachine x(bitcountXimd(data));
+        Machine x(bitcountXimd(data));
         x.run();
         std::cout << "partition histogram (streams -> cycles):\n";
         for (const auto &[streams, cycles] :
@@ -164,7 +162,7 @@ simulateBitcount(benchmark::State &state, Backend backend)
     const MachineConfig cfg = MachineConfig{}.withBackend(backend);
     Cycle cycles = 0;
     for (auto _ : state) {
-        XimdMachine m(prog, cfg);
+        Machine m(prog, cfg);
         m.run();
         cycles += m.cycle();
     }

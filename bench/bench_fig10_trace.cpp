@@ -8,7 +8,7 @@
 
 #include "bench_util.hh"
 
-#include "core/ximd_machine.hh"
+#include "core/machine.hh"
 #include "workloads/kernels.hh"
 
 namespace {
@@ -38,7 +38,7 @@ printTables()
 
     MachineConfig cfg;
     cfg.recordTrace = true;
-    XimdMachine m(workloads::minmaxPaper(/*terminate=*/false), cfg);
+    Machine m(workloads::minmaxPaper(/*terminate=*/false), cfg);
     for (int i = 0; i < 14; ++i)
         m.step();
 
@@ -64,7 +64,7 @@ simulateMinmaxTrace(benchmark::State &state)
     MachineConfig cfg;
     cfg.recordTrace = state.range(0) != 0;
     for (auto _ : state) {
-        XimdMachine m(workloads::minmaxPaper(false), cfg);
+        Machine m(workloads::minmaxPaper(false), cfg);
         for (int i = 0; i < 14; ++i)
             m.step();
         benchmark::DoNotOptimize(m.readReg(0));

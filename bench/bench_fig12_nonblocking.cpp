@@ -13,7 +13,7 @@
 
 #include "bench_util.hh"
 
-#include "core/ximd_machine.hh"
+#include "core/machine.hh"
 #include "workloads/nonblocking.hh"
 
 namespace {
@@ -33,7 +33,7 @@ Outcome
 runVariant(Program prog, const std::vector<Cycle> &arrA,
            const std::vector<Cycle> &arrB)
 {
-    XimdMachine m(std::move(prog));
+    Machine m(std::move(prog));
     ScriptedInputPort inA("INA"), inB("INB");
     OutputPort outA("OUTA"), outB("OUTB");
     for (unsigned i = 0; i < kNonblockingValues; ++i) {

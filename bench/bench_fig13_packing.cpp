@@ -11,7 +11,7 @@
 
 #include "bench_util.hh"
 
-#include "core/ximd_machine.hh"
+#include "core/machine.hh"
 #include "sched/compose.hh"
 #include "support/random.hh"
 #include "workloads/ir_threads.hh"
@@ -108,7 +108,7 @@ printTables()
                 orDie(composeThreadsChecked(threads, r, kWidth));
             MachineConfig cfg;
             cfg.memWords = 8192;
-            XimdMachine m(comp.program, cfg);
+            Machine m(comp.program, cfg);
             const RunResult rr = m.run(1'000'000);
             if (!rr.ok()) {
                 std::cerr << "composed run failed: "

@@ -11,7 +11,7 @@
 
 #include "bench_util.hh"
 
-#include "core/ximd_machine.hh"
+#include "core/machine.hh"
 #include "sched/modulo.hh"
 #include "support/random.hh"
 #include "workloads/kernels.hh"
@@ -57,7 +57,7 @@ Cycle
 runAndVerify(Program prog, const std::vector<float> &y,
              bool pokeMemory)
 {
-    XimdMachine m(std::move(prog));
+    Machine m(std::move(prog));
     const Word x0 = m.program().symbolOrDie("X0");
     if (pokeMemory) {
         const Word y0 = m.program().symbolOrDie("Y0");
@@ -131,7 +131,7 @@ simulatePipelined(benchmark::State &state)
     Program prog = workloads::loop12Pipelined(y);
     Cycle cycles = 0;
     for (auto _ : state) {
-        XimdMachine m(prog);
+        Machine m(prog);
         m.run();
         cycles += m.cycle();
     }

@@ -12,8 +12,7 @@
 
 #include "bench_util.hh"
 
-#include "core/vliw_machine.hh"
-#include "core/ximd_machine.hh"
+#include "core/machine.hh"
 #include "sched/codegen.hh"
 #include "support/random.hh"
 #include "workloads/bitcount.hh"
@@ -105,39 +104,39 @@ printTables()
 
     Rng rng(5);
     {
-        XimdMachine m(peakFlopKernel(15, 64));
+        Machine m(peakFlopKernel(15, 64));
         report("peak-FP kernel (8 fadd/cyc)", m);
     }
     {
         std::vector<float> y(513);
         for (auto &v : y)
             v = static_cast<float>(rng.range(-100, 100));
-        XimdMachine m(loop12Pipelined(y));
+        Machine m(loop12Pipelined(y));
         report("loop12 pipelined (II=1)", m);
     }
     {
         std::vector<float> y(513);
         for (auto &v : y)
             v = static_cast<float>(rng.range(-100, 100));
-        XimdMachine m(loop12Naive(y, 8));
+        Machine m(loop12Naive(y, 8));
         report("loop12 naive", m);
     }
     {
         std::vector<SWord> data(512);
         for (auto &v : data)
             v = static_cast<SWord>(rng.range(0, 10000));
-        XimdMachine m(minmaxXimd(data));
+        Machine m(minmaxXimd(data));
         report("minmax (4 of 8 FUs)", m);
     }
     {
         std::vector<Word> data(256);
         for (auto &v : data)
             v = static_cast<Word>(rng.next64() & 0xFFFFF);
-        XimdMachine m(bitcountXimd(data));
+        Machine m(bitcountXimd(data));
         report("bitcount (4 streams)", m);
     }
     {
-        XimdMachine m(tprocPaper(1, 2, 3, 4));
+        Machine m(tprocPaper(1, 2, 3, 4));
         report("tproc (scalar)", m);
     }
     std::cout << "\nshape: the pipelined vector loop approaches the "
@@ -185,7 +184,7 @@ printTables()
                 ir, {.width = 8, .rawLatency = latency}));
             MachineConfig cfg;
             cfg.resultLatency = latency;
-            XimdMachine m(code.program, cfg);
+            Machine m(code.program, cfg);
             for (Word k = 1; k <= 64; ++k)
                 m.memory().poke(600 + k, k);
             m.run();
@@ -219,7 +218,7 @@ hostSimulationSpeed(benchmark::State &state)
     Program prog = loop12Pipelined(y);
     Cycle cycles = 0;
     for (auto _ : state) {
-        XimdMachine m(prog);
+        Machine m(prog);
         m.run();
         cycles += m.cycle();
     }
@@ -242,7 +241,7 @@ hostVliwSimulationSpeed(benchmark::State &state)
     Program prog = loop12Pipelined(y);
     Cycle cycles = 0;
     for (auto _ : state) {
-        VliwMachine m(prog);
+        Machine m(prog, MachineConfig::vliw());
         m.run();
         cycles += m.cycle();
     }

@@ -12,8 +12,7 @@
 
 #include "bench_util.hh"
 
-#include "core/vliw_machine.hh"
-#include "core/ximd_machine.hh"
+#include "core/machine.hh"
 #include "support/random.hh"
 #include "workloads/bitcount.hh"
 #include "workloads/kernels.hh"
@@ -44,8 +43,8 @@ printTables()
     Rng rng(123);
 
     { // tproc: single stream, expect parity.
-        XimdMachine x(tprocPaper(3, -4, 7, 11));
-        VliwMachine v(tprocPaper(3, -4, 7, 11));
+        Machine x(tprocPaper(3, -4, 7, 11));
+        Machine v(tprocPaper(3, -4, 7, 11), MachineConfig::vliw());
         x.run();
         v.run();
         t.row({"tproc (Example 1)", num(x.cycle()), num(v.cycle()),
@@ -56,8 +55,8 @@ printTables()
         std::vector<float> y(257);
         for (auto &vv : y)
             vv = static_cast<float>(rng.range(-50, 50));
-        XimdMachine x(loop12Pipelined(y));
-        VliwMachine v(loop12Pipelined(y));
+        Machine x(loop12Pipelined(y));
+        Machine v(loop12Pipelined(y), MachineConfig::vliw());
         x.run();
         v.run();
         t.row({"loop12 pipelined", num(x.cycle()), num(v.cycle()),
@@ -68,8 +67,8 @@ printTables()
         std::vector<SWord> data(1024);
         for (auto &vv : data)
             vv = static_cast<SWord>(rng.range(0, 100000));
-        XimdMachine x(minmaxXimd(data));
-        VliwMachine v(minmaxVliw(data));
+        Machine x(minmaxXimd(data));
+        Machine v(minmaxVliw(data), MachineConfig::vliw());
         x.run();
         v.run();
         t.row({"minmax (Example 2)", num(x.cycle()), num(v.cycle()),
@@ -80,8 +79,8 @@ printTables()
         std::vector<SWord> data(512);
         for (auto &vv : data)
             vv = static_cast<SWord>(rng.range(0, 100000));
-        XimdMachine x(multiSearchXimd(6, data));
-        VliwMachine v(multiSearchVliw(6, data));
+        Machine x(multiSearchXimd(6, data));
+        Machine v(multiSearchVliw(6, data), MachineConfig::vliw());
         x.run();
         v.run();
         t.row({"multi-search S=6", num(x.cycle()), num(v.cycle()),
@@ -92,9 +91,9 @@ printTables()
         std::vector<Word> data(256);
         for (auto &vv : data)
             vv = static_cast<Word>(rng.next64() & 0xFFFFF);
-        XimdMachine x(bitcountXimd(data));
-        VliwMachine vs(bitcountVliwSerial(data));
-        VliwMachine vl(bitcountVliwLockstep(data));
+        Machine x(bitcountXimd(data));
+        Machine vs(bitcountVliwSerial(data), MachineConfig::vliw());
+        Machine vl(bitcountVliwLockstep(data), MachineConfig::vliw());
         x.run();
         vs.run();
         vl.run();
@@ -129,9 +128,9 @@ endToEndSuite(benchmark::State &state)
     Program bc = bitcountXimd(bits);
     Cycle cycles = 0;
     for (auto _ : state) {
-        XimdMachine m1(minmax);
+        Machine m1(minmax);
         m1.run();
-        XimdMachine m2(bc);
+        Machine m2(bc);
         m2.run();
         benchmark::DoNotOptimize(m1.cycle() + m2.cycle());
         cycles += m1.cycle() + m2.cycle();

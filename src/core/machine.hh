@@ -22,11 +22,6 @@
  * Thread-safety contract: a Machine is confined to one thread; the
  * shared PreparedProgram is immutable; nothing else is shared. See
  * DESIGN.md section 8.
- *
- * The historical XimdMachine / VliwMachine classes remain as thin
- * mode-fixing wrappers over this façade and are kept for source
- * compatibility; new code (examples, benches, the farm) should use
- * Machine + MachineConfig builders.
  */
 
 #ifndef XIMD_CORE_MACHINE_HH

@@ -7,13 +7,6 @@
 
 namespace ximd {
 
-MachineCore::MachineCore(Program program, MachineConfig config,
-                         Mode mode)
-    : MachineCore(PreparedProgram::make(std::move(program)),
-                  config.withMode(mode))
-{
-}
-
 MachineCore::MachineCore(std::shared_ptr<const PreparedProgram> prepared,
                          MachineConfig config)
     : prepared_(std::move(prepared)),

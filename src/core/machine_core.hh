@@ -59,7 +59,7 @@ class ExecBackend;
 struct NextPc; // core/exec_backend.hh
 
 /**
- * The execution engine shared by XimdMachine and VliwMachine.
+ * The execution engine behind Machine, for both disciplines.
  *
  * Thread-safety contract: a MachineCore is confined to one thread —
  * nothing in it is synchronized. What makes concurrent simulation
@@ -73,22 +73,12 @@ struct NextPc; // core/exec_backend.hh
 class MachineCore
 {
   public:
-    /** Sequencing discipline (alias of the config-level enum). */
-    using Mode = ximd::Mode;
-
-    /**
-     * Build a core around @p program (validated on entry; Mode::Vliw
-     * additionally rejects sync-signal conditions and non-BUSY sync
-     * fields). Initial memory / register requests are applied, and
-     * the program is predecoded. `config.mode` is overridden by
-     * @p mode (the wrapper machines fix the discipline).
-     */
-    MachineCore(Program program, MachineConfig config, Mode mode);
-
     /**
      * Build a core executing from a shared, already-prepared program.
      * The core keeps @p prepared alive; many cores (on many threads)
-     * may share one instance. The discipline is `config.mode`.
+     * may share one instance. The discipline is `config.mode`;
+     * Mode::Vliw rejects sync-signal conditions and non-BUSY sync
+     * fields. Initial memory / register requests are applied.
      */
     MachineCore(std::shared_ptr<const PreparedProgram> prepared,
                 MachineConfig config);

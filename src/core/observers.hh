@@ -2,12 +2,11 @@
  * @file
  * The stock observers: partition tracking, statistics, tracing.
  *
- * These reproduce, through the CycleObserver interface, exactly the
- * observation the machines' step() functions used to perform inline.
- * The wrappers (XimdMachine / VliwMachine) own the observed objects
- * (PartitionTracker, RunStats, Trace) and attach these adapters only
- * when the corresponding MachineConfig switch is on, so a bare core
- * carries no observation cost.
+ * These perform, through the CycleObserver interface, the stock
+ * observation of a run. Machine (core/machine.hh) owns the observed
+ * objects (PartitionTracker, RunStats, Trace) and attaches these
+ * adapters only when the corresponding MachineConfig switch is on, so
+ * a bare core carries no observation cost.
  */
 
 #ifndef XIMD_CORE_OBSERVERS_HH

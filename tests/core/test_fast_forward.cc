@@ -16,8 +16,8 @@
 #include <gtest/gtest.h>
 
 #include "asm/assembler.hh"
+#include "core/machine.hh"
 #include "core/observer.hh"
-#include "core/ximd_machine.hh"
 #include "workloads/kernels.hh"
 
 namespace {
@@ -32,7 +32,7 @@ example(const char *file)
 
 /** Everything observable about a finished machine, as one string. */
 std::string
-fingerprint(const XimdMachine &m, const RunResult &r)
+fingerprint(const Machine &m, const RunResult &r)
 {
     std::string s;
     s += "reason=" + std::to_string(static_cast<int>(r.reason));
@@ -58,11 +58,11 @@ expectEquivalent(const Program &program, MachineConfig config,
                  Cycle maxCycles)
 {
     config.fastForward = true;
-    XimdMachine fast(program, config);
+    Machine fast(program, config);
     const RunResult rf = fast.run(maxCycles);
 
     config.fastForward = false;
-    XimdMachine slow(program, config);
+    Machine slow(program, config);
     const RunResult rs = slow.run(maxCycles);
 
     const std::string f = fingerprint(fast, rf);
@@ -138,7 +138,7 @@ struct CountingObserver : CycleObserver
 
 TEST(FastForward, SkipsInsteadOfStepping)
 {
-    XimdMachine m(assembleFile(example("deadlock.ximd")));
+    Machine m(assembleFile(example("deadlock.ximd")));
     CountingObserver counter;
     m.addObserver(&counter);
 
@@ -155,7 +155,7 @@ TEST(FastForward, SkipsInsteadOfStepping)
 
 TEST(FastForward, HaltNotificationFiresOnce)
 {
-    XimdMachine m(assembleFile(example("barrier.ximd")));
+    Machine m(assembleFile(example("barrier.ximd")));
     CountingObserver counter;
     m.addObserver(&counter);
 
@@ -173,14 +173,14 @@ TEST(FastForward, DisabledObservationMatchesArchitecturalState)
     // compute the same architectural results.
     const Program p = workloads::minmaxPaper(true);
 
-    XimdMachine observed(p);
+    Machine observed(p);
     const RunResult ro = observed.run();
 
     MachineConfig bare;
     bare.collectStats = false;
     bare.trackPartitions = false;
     bare.recordTrace = false;
-    XimdMachine unobserved(p, bare);
+    Machine unobserved(p, bare);
     const RunResult ru = unobserved.run();
 
     EXPECT_EQ(ro.reason, ru.reason);

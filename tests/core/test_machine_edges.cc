@@ -7,8 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "asm/assembler.hh"
-#include "core/vliw_machine.hh"
-#include "core/ximd_machine.hh"
+#include "core/machine.hh"
 #include "support/logging.hh"
 
 namespace ximd {
@@ -18,7 +17,7 @@ TEST(MachineEdges, FaultPreservesPriorArchitecturalState)
 {
     // Cycle 0 commits r1 := 5; cycle 1 faults (divide by zero). The
     // committed state survives; the faulting cycle's writes do not.
-    auto m = XimdMachine(assembleString(
+    auto m = Machine(assembleString(
         ".fus 2\n"
         "-> 1 ; iadd #5,#0,r1 || -> 1 ; nop\n"
         "halt ; idiv #1,#0,r2 || halt ; iadd #7,#0,r3\n"));
@@ -31,7 +30,7 @@ TEST(MachineEdges, FaultPreservesPriorArchitecturalState)
 
 TEST(MachineEdges, StepAfterFaultDoesNothing)
 {
-    auto m = XimdMachine(assembleString(
+    auto m = Machine(assembleString(
         ".fus 1\nhalt ; idiv #1,#0,r0\n"));
     EXPECT_EQ(m.run().reason, StopReason::Fault);
     EXPECT_FALSE(m.step());
@@ -42,7 +41,7 @@ TEST(MachineEdges, StepAfterFaultDoesNothing)
 
 TEST(MachineEdges, RunAfterHaltIsIdempotent)
 {
-    auto m = XimdMachine(assembleString(".fus 1\nhalt ; nop\n"));
+    auto m = Machine(assembleString(".fus 1\nhalt ; nop\n"));
     EXPECT_TRUE(m.run().ok());
     const Cycle c = m.cycle();
     const RunResult again = m.run();
@@ -62,7 +61,7 @@ TEST(MachineEdges, MaximumWidthMachine)
                          Operand::immInt(1),
                          static_cast<RegId>(fu))));
     p.addRow(std::move(row));
-    XimdMachine m(p);
+    Machine m(p);
     EXPECT_TRUE(m.run().ok());
     for (FuId fu = 0; fu < kMaxFus; ++fu)
         EXPECT_EQ(m.readReg(static_cast<RegId>(fu)), fu + 1);
@@ -72,7 +71,7 @@ TEST(MachineEdges, PartitionTrackingCanBeDisabled)
 {
     MachineConfig cfg;
     cfg.trackPartitions = false;
-    auto m = XimdMachine(
+    auto m = Machine(
         assembleString(".fus 2\nhalt ; nop || halt ; nop\n"), cfg);
     EXPECT_TRUE(m.run().ok());
     EXPECT_TRUE(m.stats().partitionHistogram().empty());
@@ -81,7 +80,7 @@ TEST(MachineEdges, PartitionTrackingCanBeDisabled)
 
 TEST(MachineEdges, UnknownRegisterNameThrows)
 {
-    auto m = XimdMachine(assembleString(".fus 1\nhalt ; nop\n"));
+    auto m = Machine(assembleString(".fus 1\nhalt ; nop\n"));
     m.run();
     EXPECT_THROW(m.readRegByName("nonesuch"), FatalError);
 }
@@ -90,7 +89,7 @@ TEST(MachineEdges, SmallMemoryBoundsEnforced)
 {
     MachineConfig cfg;
     cfg.memWords = 16;
-    auto m = XimdMachine(
+    auto m = Machine(
         assembleString(".fus 1\nhalt ; store #1,#16\n"), cfg);
     const RunResult r = m.run();
     EXPECT_EQ(r.reason, StopReason::Fault);
@@ -101,7 +100,7 @@ TEST(MachineEdges, DeviceWindowAtTopOfMemory)
 {
     MachineConfig cfg;
     cfg.memWords = 64;
-    auto m = XimdMachine(
+    auto m = Machine(
         assembleString(".fus 1\nhalt ; store #9,#63\n"), cfg);
     OutputPort port("top");
     m.attachDevice(63, 63, &port);
@@ -118,15 +117,16 @@ TEST(MachineEdges, MemInitOutOfRangeFaultsAtConstruction)
     Program p = assembleString(".fus 1\n.word 100 1\nhalt ; nop\n");
     MachineConfig cfg;
     cfg.memWords = 50;
-    EXPECT_THROW(XimdMachine(p, cfg), FatalError);
+    EXPECT_THROW(Machine(p, cfg), FatalError);
 }
 
 TEST(MachineEdges, VliwFaultPathMirrorsXimd)
 {
-    auto m = VliwMachine(assembleString(
-        ".fus 2\n"
-        "-> 1 ; iadd #5,#0,r1 || -> 1 ; nop\n"
-        "halt ; imod #1,#0,r2 || halt ; nop\n"));
+    auto m = Machine(assembleString(
+                         ".fus 2\n"
+                         "-> 1 ; iadd #5,#0,r1 || -> 1 ; nop\n"
+                         "halt ; imod #1,#0,r2 || halt ; nop\n"),
+                     MachineConfig::vliw());
     const RunResult r = m.run();
     EXPECT_EQ(r.reason, StopReason::Fault);
     EXPECT_EQ(m.readReg(1), 5u);
@@ -137,7 +137,7 @@ TEST(MachineEdges, ConflictPolicyLowestFuWins)
 {
     MachineConfig cfg;
     cfg.conflictPolicy = ConflictPolicy::LowestFuWins;
-    auto m = XimdMachine(
+    auto m = Machine(
         assembleString(".fus 2\n"
                        "halt ; iadd #1,#0,r5 || halt ; iadd #2,#0,r5\n"),
         cfg);
@@ -147,7 +147,7 @@ TEST(MachineEdges, ConflictPolicyLowestFuWins)
 
 TEST(MachineEdges, LargeImmediateRoundTrip)
 {
-    auto m = XimdMachine(assembleString(
+    auto m = Machine(assembleString(
         ".fus 1\n"
         "-> 1 ; iadd #0x7fffffff,#1,r0\n" // wraps to INT_MIN
         "halt ; store r0,#40\n"));
@@ -171,7 +171,7 @@ TEST(MachineEdges, SelfBarrierSingleFuReleasesImmediately)
 {
     // An ALL barrier on a 1-FU machine: the FU's own DONE satisfies
     // it the first cycle.
-    auto m = XimdMachine(assembleString(
+    auto m = Machine(assembleString(
         ".fus 1\n"
         "if all 1 0 ; nop ; done\n"
         "halt ; nop\n"));

@@ -8,8 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "asm/assembler.hh"
-#include "core/vliw_machine.hh"
-#include "core/ximd_machine.hh"
+#include "core/machine.hh"
 #include "sched/codegen.hh"
 #include "support/logging.hh"
 #include "support/random.hh"
@@ -38,7 +37,7 @@ TEST(Pipeline, WriteInvisibleUntilLatencyElapses)
         "-> 3 ; mov r0,r2\n"   // cycle 2
         "-> 4 ; mov r0,r3\n"   // cycle 3
         "halt ; nop\n";
-    XimdMachine m(assembleString(src), latencyCfg(3));
+    Machine m(assembleString(src), latencyCfg(3));
     ASSERT_TRUE(m.run(100).ok());
     EXPECT_EQ(m.readReg(1), 0u); // stale
     EXPECT_EQ(m.readReg(2), 0u); // stale
@@ -51,7 +50,7 @@ TEST(Pipeline, LatencyOneMatchesResearchModel)
         ".fus 1\n"
         "-> 1 ; iadd #7,#0,r0\n"
         "halt ; mov r0,r1\n";
-    XimdMachine m(assembleString(src), latencyCfg(1));
+    Machine m(assembleString(src), latencyCfg(1));
     ASSERT_TRUE(m.run(100).ok());
     EXPECT_EQ(m.readReg(1), 7u);
 }
@@ -61,7 +60,7 @@ TEST(Pipeline, DrainsWritesAfterHalt)
     // The store issues in the halt cycle; with latency 3 the machine
     // must keep draining two more cycles after every FU halted.
     const char *src = ".fus 1\nhalt ; store #42,#50\n";
-    XimdMachine m(assembleString(src), latencyCfg(3));
+    Machine m(assembleString(src), latencyCfg(3));
     const RunResult r = m.run(100);
     ASSERT_TRUE(r.ok());
     EXPECT_EQ(m.peekMem(50), 42u);
@@ -71,7 +70,7 @@ TEST(Pipeline, DrainsWritesAfterHalt)
 TEST(Pipeline, VliwDrainsWritesAfterHalt)
 {
     const char *src = ".fus 2\nhalt ; store #42,#50 || halt ; nop\n";
-    VliwMachine m(assembleString(src), latencyCfg(3));
+    Machine m(assembleString(src), latencyCfg(3).withMode(Mode::Vliw));
     ASSERT_TRUE(m.run(100).ok());
     EXPECT_EQ(m.peekMem(50), 42u);
 }
@@ -92,7 +91,7 @@ TEST(Pipeline, CcWritesAreDelayedToo)
         "halt ; nop\n"             // 7
         "halt ; nop\n"             // 8
         "halt ; iadd #9,#0,r0\n";  // 9: wrong path
-    XimdMachine m(assembleString(src), latencyCfg(2));
+    Machine m(assembleString(src), latencyCfg(2));
     ASSERT_TRUE(m.run(100).ok());
     EXPECT_EQ(m.readReg(0), 5u);
 }
@@ -104,7 +103,7 @@ TEST(Pipeline, WawRetiresInIssueOrder)
         "-> 1 ; iadd #1,#0,r0\n"
         "-> 2 ; iadd #2,#0,r0\n"
         "halt ; nop\n";
-    XimdMachine m(assembleString(src), latencyCfg(3));
+    Machine m(assembleString(src), latencyCfg(3));
     ASSERT_TRUE(m.run(100).ok());
     EXPECT_EQ(m.readReg(0), 2u);
 }
@@ -116,7 +115,7 @@ TEST(Pipeline, SameCycleWritebackRaceFaults)
     const char *src =
         ".fus 2\n"
         "halt ; iadd #1,#0,r5 || halt ; iadd #2,#0,r5\n";
-    XimdMachine m(assembleString(src), latencyCfg(3));
+    Machine m(assembleString(src), latencyCfg(3));
     EXPECT_EQ(m.run(100).reason, StopReason::Fault);
 }
 
@@ -136,8 +135,8 @@ TEST(Pipeline, SchedulerStretchesSchedulesWithLatency)
     const auto r3 = valueOrFatal(generateCodeChecked(ir, {.width = 4, .rawLatency = 3}));
     EXPECT_GT(r3.program.size(), r1.program.size());
 
-    XimdMachine m1(r1.program, latencyCfg(1));
-    XimdMachine m3(r3.program, latencyCfg(3));
+    Machine m1(r1.program, latencyCfg(1));
+    Machine m3(r3.program, latencyCfg(3));
     ASSERT_TRUE(m1.run(1000).ok());
     ASSERT_TRUE(m3.run(1000).ok());
     EXPECT_EQ(m1.peekMem(60), 9u);
@@ -160,7 +159,7 @@ TEST(Pipeline, ResearchModelCodeBreaksOnPrototypePipe)
     IrProgram ir = b.finish();
 
     const auto r1 = valueOrFatal(generateCodeChecked(ir, {.width = 4, .rawLatency = 1}));
-    XimdMachine m(r1.program, latencyCfg(3));
+    Machine m(r1.program, latencyCfg(3));
     ASSERT_TRUE(m.run(1000).ok());
     EXPECT_NE(m.peekMem(60), 9u); // stale x: 0 * 3
 }
@@ -218,7 +217,7 @@ TEST_P(PipelineCodegenProperty, MatchesInterpreter)
         {.width = static_cast<FuId>(width), .rawLatency = latency}));
     MachineConfig cfg = latencyCfg(latency);
     cfg.memWords = 1024;
-    XimdMachine m(code.program, cfg);
+    Machine m(code.program, cfg);
     const RunResult r = m.run(100000);
     ASSERT_TRUE(r.ok()) << r.faultMessage;
 

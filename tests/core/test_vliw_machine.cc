@@ -1,4 +1,4 @@
-#include "core/vliw_machine.hh"
+#include "core/machine.hh"
 
 #include <gtest/gtest.h>
 
@@ -8,10 +8,10 @@
 namespace ximd {
 namespace {
 
-VliwMachine
+Machine
 makeMachine(const char *src, MachineConfig cfg = {})
 {
-    return VliwMachine(assembleString(src), cfg);
+    return Machine(assembleString(src), cfg.withMode(Mode::Vliw));
 }
 
 TEST(VliwMachine, SingleStreamExecutesAllLanes)
@@ -34,7 +34,7 @@ TEST(VliwMachine, ControlComesFromLaneZero)
         "-> 2 ; nop || -> 1 ; nop\n"
         "halt ; iadd #7,#0,r0 || halt ; nop\n"
         "halt ; iadd #9,#0,r0 || halt ; nop\n");
-    VliwMachine m(p);
+    Machine m(p, MachineConfig::vliw());
     EXPECT_TRUE(m.run().ok());
     EXPECT_EQ(m.readReg(0), 9u);
 }
@@ -57,7 +57,7 @@ TEST(VliwMachine, RejectsSyncConditions)
     Program p = assembleString(
         ".fus 2\n"
         "if all 0 0 ; nop || -> 0 ; nop\n");
-    EXPECT_THROW(VliwMachine{p}, FatalError);
+    EXPECT_THROW((Machine{p, MachineConfig::vliw()}), FatalError);
 }
 
 TEST(VliwMachine, RejectsSyncFields)
@@ -65,7 +65,7 @@ TEST(VliwMachine, RejectsSyncFields)
     Program p = assembleString(
         ".fus 2\n"
         "halt ; nop ; done || halt ; nop\n");
-    EXPECT_THROW(VliwMachine{p}, FatalError);
+    EXPECT_THROW((Machine{p, MachineConfig::vliw()}), FatalError);
 }
 
 TEST(VliwMachine, WriteConflictFaults)

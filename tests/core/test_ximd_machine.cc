@@ -1,4 +1,4 @@
-#include "core/ximd_machine.hh"
+#include "core/machine.hh"
 
 #include <gtest/gtest.h>
 
@@ -8,10 +8,10 @@
 namespace ximd {
 namespace {
 
-XimdMachine
+Machine
 makeMachine(const char *src, MachineConfig cfg = {})
 {
-    return XimdMachine(assembleString(src), cfg);
+    return Machine(assembleString(src), cfg);
 }
 
 TEST(XimdMachine, TrivialProgramHalts)
@@ -25,7 +25,7 @@ TEST(XimdMachine, TrivialProgramHalts)
 
 TEST(XimdMachine, EmptyProgramRejected)
 {
-    EXPECT_THROW(XimdMachine(Program(2)), FatalError);
+    EXPECT_THROW(Machine(Program(2)), FatalError);
 }
 
 TEST(XimdMachine, DataOpWritesRegister)
@@ -242,7 +242,7 @@ TEST(XimdMachine, PcOutOfProgramFaultIsImpossibleByValidation)
     // validate() runs in the constructor; a bad target never loads.
     Program p(1);
     p.addUniformRow(Parcel(ControlOp::jump(3), DataOp::nop()));
-    EXPECT_THROW(XimdMachine{p}, FatalError);
+    EXPECT_THROW(Machine{p}, FatalError);
 }
 
 TEST(XimdMachine, TraceRecordingRespectsConfig)

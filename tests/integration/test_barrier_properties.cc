@@ -9,7 +9,7 @@
 
 #include <vector>
 
-#include "core/ximd_machine.hh"
+#include "core/machine.hh"
 #include "support/random.hh"
 
 namespace ximd {
@@ -89,7 +89,7 @@ TEST_P(BarrierProperty, JoinCostsLongestThreadPlusConstant)
     for (auto &v : iters)
         v = static_cast<unsigned>(rng.range(1, 40));
 
-    XimdMachine m(barrierProgram(iters));
+    Machine m(barrierProgram(iters));
     const RunResult r = m.run(10000);
     ASSERT_TRUE(r.ok());
     // Each thread reaches the barrier after 3*n_i cycles; the join
@@ -106,7 +106,7 @@ TEST_P(BarrierProperty, BusyWaitEqualsSlackSum)
     for (auto &v : iters)
         v = static_cast<unsigned>(rng.range(1, 30));
 
-    XimdMachine m(barrierProgram(iters));
+    Machine m(barrierProgram(iters));
     ASSERT_TRUE(m.run(10000).ok());
     // FU i spins at the barrier for 3*(max-n_i) cycles.
     std::uint64_t slack = 0;
@@ -166,7 +166,7 @@ TEST(MaskedBarrier, GroupsJoinIndependently)
     p.addRegInit(2, 20);
     p.addRegInit(3, 25);
 
-    XimdMachine m(p);
+    Machine m(p);
     std::vector<Cycle> haltCycle(4, 0);
     while (m.step()) {
         for (FuId fu = 0; fu < 4; ++fu)
@@ -228,7 +228,7 @@ TEST(AnySync, WakesWaitersTheCycleTheFirstSignals)
     }
     p.addRegInit(0, 5);
 
-    XimdMachine m(p);
+    Machine m(p);
     std::vector<Cycle> haltCycle(3, 0);
     while (m.step()) {
         for (FuId fu = 0; fu < 3; ++fu)

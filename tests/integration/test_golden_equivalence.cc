@@ -28,8 +28,7 @@
 #include <gtest/gtest.h>
 
 #include "asm/assembler.hh"
-#include "core/vliw_machine.hh"
-#include "core/ximd_machine.hh"
+#include "core/machine.hh"
 #include "support/random.hh"
 #include "workloads/bitcount.hh"
 #include "workloads/kernels.hh"
@@ -50,9 +49,9 @@ hist(const RunStats &s)
     return os.str();
 }
 
-template <typename M>
 void
-report(std::ostream &os, const char *name, M &m, const RunResult &r)
+report(std::ostream &os, const char *name, const Machine &m,
+       const RunResult &r)
 {
     os << "=== " << name << " ===\n";
     os << "reason=" << static_cast<int>(r.reason)
@@ -77,17 +76,19 @@ generateReport()
     std::ostringstream os;
     MachineConfig traced;
     traced.recordTrace = true;
+    const MachineConfig tracedVliw =
+        MachineConfig(traced).withMode(Mode::Vliw);
 
     { // minmax paper kernel, terminating, traced.
-        XimdMachine m(minmaxPaper(true), traced);
+        Machine m(minmaxPaper(true), traced);
         auto r = m.run();
         report(os, "minmax_paper", m, r);
     }
     { // tproc XIMD + VLIW.
-        XimdMachine x(tprocPaper(3, -4, 7, 11), traced);
+        Machine x(tprocPaper(3, -4, 7, 11), traced);
         auto rx = x.run();
         report(os, "tproc_ximd", x, rx);
-        VliwMachine v(tprocPaper(3, -4, 7, 11), traced);
+        Machine v(tprocPaper(3, -4, 7, 11), tracedVliw);
         auto rv = v.run();
         report(os, "tproc_vliw", v, rv);
     }
@@ -96,7 +97,7 @@ generateReport()
         std::vector<Word> data(16);
         for (auto &v : data)
             v = static_cast<Word>(rng.next64() & 0xFFFFF);
-        XimdMachine m(bitcountXimd(data), traced);
+        Machine m(bitcountXimd(data), traced);
         auto r = m.run();
         report(os, "bitcount_ximd", m, r);
     }
@@ -105,22 +106,22 @@ generateReport()
         std::vector<float> y(12);
         for (auto &v : y)
             v = static_cast<float>(rng.range(-50, 50));
-        XimdMachine x(loop12Pipelined(y), traced);
+        Machine x(loop12Pipelined(y), traced);
         auto rx = x.run();
         report(os, "loop12_ximd", x, rx);
-        VliwMachine v(loop12Pipelined(y), traced);
+        Machine v(loop12Pipelined(y), tracedVliw);
         auto rv = v.run();
         report(os, "loop12_vliw", v, rv);
     }
     { // barrier.ximd from the shipped corpus.
-        XimdMachine m(assembleFile(example("barrier.ximd")), traced);
+        Machine m(assembleFile(example("barrier.ximd")), traced);
         auto r = m.run();
         report(os, "barrier", m, r);
         os << "mem32=" << m.peekMem(32) << " mem33=" << m.peekMem(33)
            << "\n";
     }
     { // deadlock.ximd capped at 500 cycles (fast-forward territory).
-        XimdMachine m(assembleFile(example("deadlock.ximd")));
+        Machine m(assembleFile(example("deadlock.ximd")));
         auto r = m.run(500);
         report(os, "deadlock_cap500", m, r);
     }

@@ -15,7 +15,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/ximd_machine.hh"
+#include "core/machine.hh"
 #include "support/random.hh"
 
 namespace ximd {
@@ -135,7 +135,7 @@ TEST_P(MimdEquivalence, IndependentStreamsNeitherHelpNorHinder)
     std::vector<Word> soloResult(width);
     std::vector<Cycle> soloCycles(width);
     for (FuId fu = 0; fu < width; ++fu) {
-        XimdMachine m(soloProgram(cols[fu], fu));
+        Machine m(soloProgram(cols[fu], fu));
         const RunResult r = m.run(100000);
         ASSERT_TRUE(r.ok()) << r.faultMessage;
         soloResult[fu] = m.peekMem(cols[fu].resultAddr);
@@ -143,7 +143,7 @@ TEST_P(MimdEquivalence, IndependentStreamsNeitherHelpNorHinder)
     }
 
     // Combined run: one machine, width columns, zero interaction.
-    XimdMachine m(columnsToProgram(cols));
+    Machine m(columnsToProgram(cols));
     const RunResult r = m.run(100000);
     ASSERT_TRUE(r.ok()) << r.faultMessage;
 

@@ -8,7 +8,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/ximd_machine.hh"
+#include "core/machine.hh"
 #include "workloads/kernels.hh"
 
 namespace ximd::workloads {
@@ -37,7 +37,7 @@ TEST(Figure10, AddressTraceMatchesPaperExactly)
 {
     MachineConfig cfg;
     cfg.recordTrace = true;
-    XimdMachine m(minmaxPaper(/*terminate=*/false), cfg);
+    Machine m(minmaxPaper(/*terminate=*/false), cfg);
     for (int i = 0; i < 14; ++i)
         ASSERT_TRUE(m.step());
     EXPECT_EQ(m.trace().compact(), kFigure10);
@@ -47,7 +47,7 @@ TEST(Figure10, ResultsAfterTrace)
 {
     MachineConfig cfg;
     cfg.recordTrace = true;
-    XimdMachine m(minmaxPaper(/*terminate=*/false), cfg);
+    Machine m(minmaxPaper(/*terminate=*/false), cfg);
     for (int i = 0; i < 14; ++i)
         ASSERT_TRUE(m.step());
     EXPECT_EQ(wordToInt(m.readRegByName("min")), 3);
@@ -61,7 +61,7 @@ TEST(Figure10, ThreeThreadForkCyclesMatchComments)
     // single stream.
     MachineConfig cfg;
     cfg.recordTrace = true;
-    XimdMachine m(minmaxPaper(false), cfg);
+    Machine m(minmaxPaper(false), cfg);
     for (int i = 0; i < 14; ++i)
         ASSERT_TRUE(m.step());
     for (int c : {3, 6, 9, 12})
@@ -73,7 +73,7 @@ TEST(Figure10, ThreeThreadForkCyclesMatchComments)
 TEST(Figure10, PartitionHistogramSplits)
 {
     MachineConfig cfg;
-    XimdMachine m(minmaxPaper(false), cfg);
+    Machine m(minmaxPaper(false), cfg);
     for (int i = 0; i < 14; ++i)
         ASSERT_TRUE(m.step());
     const auto &hist = m.stats().partitionHistogram();
@@ -88,7 +88,7 @@ TEST(Figure10, TerminatingVariantPreservesPrefix)
     // cycle 12 must be identical.
     MachineConfig cfg;
     cfg.recordTrace = true;
-    XimdMachine m(minmaxPaper(/*terminate=*/true), cfg);
+    Machine m(minmaxPaper(/*terminate=*/true), cfg);
     EXPECT_TRUE(m.run().ok());
     const std::string got = m.trace().compact();
     const std::string want(kFigure10);

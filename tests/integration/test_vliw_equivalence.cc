@@ -14,8 +14,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/vliw_machine.hh"
-#include "core/ximd_machine.hh"
+#include "core/machine.hh"
 #include "support/random.hh"
 
 namespace ximd {
@@ -114,8 +113,9 @@ TEST_P(VliwEquivalence, XimdEmulatesVliwExactly)
 
     MachineConfig cfg;
     cfg.recordTrace = true;
-    XimdMachine x(prog, cfg);
-    VliwMachine v(prog, cfg);
+    Machine x(prog, cfg);
+    Machine v(prog, cfg.withMode(Mode::Vliw));
+    ASSERT_EQ(v.mode(), Mode::Vliw);
 
     const RunResult rx = x.run(100000);
     const RunResult rv = v.run(100000);

@@ -2,8 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/vliw_machine.hh"
-#include "core/ximd_machine.hh"
+#include "core/machine.hh"
 #include "support/logging.hh"
 #include "support/random.hh"
 
@@ -36,11 +35,11 @@ TEST(Codegen, SumLoopRunsOnBothMachines)
     IrProgram ir = sumLoop(10);
     CodegenResult code = valueOrFatal(generateCodeChecked(ir, {.width = 4}));
 
-    XimdMachine x(code.program);
+    Machine x(code.program);
     ASSERT_TRUE(x.run().ok());
     EXPECT_EQ(x.peekMem(100), 55u);
 
-    VliwMachine v(code.program);
+    Machine v(code.program, MachineConfig::vliw());
     ASSERT_TRUE(v.run().ok());
     EXPECT_EQ(v.peekMem(100), 55u);
     EXPECT_EQ(x.cycle(), v.cycle());
@@ -61,7 +60,7 @@ TEST(Codegen, RegBaseOffsetsAllRegisters)
 {
     IrProgram ir = sumLoop(4);
     CodegenResult code = valueOrFatal(generateCodeChecked(ir, {.width = 2, .alloc = {.window = {.base = 50}}}));
-    XimdMachine m(code.program);
+    Machine m(code.program);
     ASSERT_TRUE(m.run().ok());
     // vreg 1 (sum) lives at r51.
     EXPECT_EQ(m.readReg(51), 10u);
@@ -100,8 +99,8 @@ TEST(Codegen, WidthOneSerializes)
     CodegenResult wide = valueOrFatal(generateCodeChecked(ir, {.width = 4}));
     EXPECT_GT(narrow.program.size(), wide.program.size());
 
-    XimdMachine m1(narrow.program);
-    XimdMachine m2(wide.program);
+    Machine m1(narrow.program);
+    Machine m2(wide.program);
     ASSERT_TRUE(m1.run().ok());
     ASSERT_TRUE(m2.run().ok());
     EXPECT_EQ(m1.peekMem(7), 10u);
@@ -170,7 +169,7 @@ TEST_P(CodegenProperty, SimulatorMatchesInterpreter)
         valueOrFatal(generateCodeChecked(ir, {.width = static_cast<FuId>(width)}));
     MachineConfig cfg;
     cfg.memWords = 1024;
-    XimdMachine m(code.program, cfg);
+    Machine m(code.program, cfg);
     const RunResult r = m.run(100000);
     ASSERT_TRUE(r.ok()) << r.faultMessage;
 

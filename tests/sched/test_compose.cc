@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/ximd_machine.hh"
+#include "core/machine.hh"
 #include "sched/tile.hh"
 #include "support/logging.hh"
 #include "support/random.hh"
@@ -73,7 +73,7 @@ struct Fixture
     {
         MachineConfig cfg;
         cfg.memWords = 4096;
-        XimdMachine m(comp.program, cfg);
+        Machine m(comp.program, cfg);
         const RunResult r = m.run(100000);
         ASSERT_TRUE(r.ok()) << r.faultMessage;
         for (const auto &[addr, value] : expected)

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/ximd_machine.hh"
+#include "core/machine.hh"
 #include "sched/codegen.hh"
 #include "support/logging.hh"
 
@@ -266,7 +266,7 @@ TEST(Ir, MergeShrinksSchedules)
     const auto after = valueOrFatal(generateCodeChecked(merged, {.width = 8}));
     EXPECT_LT(after.program.size(), before.program.size());
 
-    XimdMachine m(after.program);
+    Machine m(after.program);
     ASSERT_TRUE(m.run(1000).ok());
     EXPECT_EQ(m.peekMem(41), 3u);
     EXPECT_EQ(m.peekMem(42), 7u);

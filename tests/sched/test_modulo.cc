@@ -2,8 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/vliw_machine.hh"
-#include "core/ximd_machine.hh"
+#include "core/machine.hh"
 #include "support/logging.hh"
 #include "support/random.hh"
 
@@ -59,7 +58,7 @@ TEST(Modulo, Loop12MatchesReference)
     EXPECT_EQ(info.depth, 3u);
     EXPECT_EQ(info.expansion, 2u);
 
-    XimdMachine m(p);
+    Machine m(p);
     std::vector<float> y(n + 1);
     for (Word k = 1; k <= n + 1; ++k) {
         y[k - 1] = 0.5f * static_cast<float>(k * k);
@@ -79,7 +78,7 @@ TEST(Modulo, InitiationIntervalIsOne)
     const Word n = 500;
     PipelineInfo info;
     Program p = valueOrFatal(pipelineLoopChecked(loop12(n, 64, 1024), 8, &info));
-    XimdMachine m(p);
+    Machine m(p);
     ASSERT_TRUE(m.run(10000).ok());
     EXPECT_EQ(m.cycle(), n + info.depth);
 }
@@ -87,8 +86,8 @@ TEST(Modulo, InitiationIntervalIsOne)
 TEST(Modulo, RunsIdenticallyOnVliw)
 {
     Program p = valueOrFatal(pipelineLoopChecked(scaleLoop(12, 64, 128), 8));
-    XimdMachine x(p);
-    VliwMachine v(p);
+    Machine x(p);
+    Machine v(p, MachineConfig::vliw());
     for (Word k = 1; k <= 14; ++k) {
         x.memory().poke(64 + k, k * 10);
         v.memory().poke(64 + k, k * 10);
@@ -107,7 +106,7 @@ TEST(Modulo, ScaleLoopDepthThree)
     Program p = valueOrFatal(pipelineLoopChecked(scaleLoop(10, 64, 128), 8, &info));
     EXPECT_EQ(info.depth, 3u);
     EXPECT_EQ(info.expansion, 2u);
-    XimdMachine m(p);
+    Machine m(p);
     for (Word k = 1; k <= 13; ++k)
         m.memory().poke(64 + k, k);
     ASSERT_TRUE(m.run(1000).ok());
@@ -120,7 +119,7 @@ TEST(Modulo, TinyTripCounts)
 {
     for (Word n : {1u, 2u, 3u, 4u}) {
         Program p = valueOrFatal(pipelineLoopChecked(loop12(n, 64, 128), 8));
-        XimdMachine m(p);
+        Machine m(p);
         for (Word k = 1; k <= n + 3; ++k)
             m.memory().poke(64 + k, floatToWord(float(k * k)));
         const RunResult r = m.run(1000);
@@ -214,7 +213,7 @@ TEST(Modulo, FourTapFirDeepPipeline)
     EXPECT_EQ(info.expansion, 5u);
 
     MachineConfig cfg;
-    XimdMachine m(p, cfg);
+    Machine m(p, cfg);
     Rng rng(2025);
     std::vector<SWord> x(n + 8, 0);
     for (Word k = 1; k <= n; ++k) {
@@ -262,7 +261,7 @@ TEST(Modulo, RandomArithmeticPipelines)
         // load -> mult -> xor -> store: four stages.
         EXPECT_EQ(info.depth, 4u);
 
-        XimdMachine m(p);
+        Machine m(p);
         std::vector<Word> a(n + 4);
         for (Word k = 1; k < a.size(); ++k) {
             a[k] = static_cast<Word>(rng.next64());

@@ -2,8 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/vliw_machine.hh"
-#include "core/ximd_machine.hh"
+#include "core/machine.hh"
 #include "support/logging.hh"
 #include "support/random.hh"
 #include "workloads/reference.hh"
@@ -27,7 +26,7 @@ randomData(std::size_t n, double density, std::uint64_t seed)
 }
 
 void
-checkCumulative(auto &machine, const std::vector<Word> &data)
+checkCumulative(const Machine &machine, const std::vector<Word> &data)
 {
     const Word b0 = machine.program().symbolOrDie("B0");
     const auto expect = referenceBitcountCumulative(data);
@@ -39,7 +38,7 @@ checkCumulative(auto &machine, const std::vector<Word> &data)
 TEST(BitcountXimd, MatchesReference)
 {
     const auto data = randomData(16, 0.4, 1);
-    XimdMachine m(bitcountXimd(data));
+    Machine m(bitcountXimd(data));
     ASSERT_TRUE(m.run().ok());
     checkCumulative(m, data);
 }
@@ -47,7 +46,7 @@ TEST(BitcountXimd, MatchesReference)
 TEST(BitcountXimd, AllZeroElements)
 {
     std::vector<Word> data(8, 0);
-    XimdMachine m(bitcountXimd(data));
+    Machine m(bitcountXimd(data));
     ASSERT_TRUE(m.run().ok());
     checkCumulative(m, data);
 }
@@ -55,7 +54,7 @@ TEST(BitcountXimd, AllZeroElements)
 TEST(BitcountXimd, DenseElements)
 {
     std::vector<Word> data(8, 0xFFFFFu);
-    XimdMachine m(bitcountXimd(data));
+    Machine m(bitcountXimd(data));
     ASSERT_TRUE(m.run().ok());
     checkCumulative(m, data);
 }
@@ -63,7 +62,7 @@ TEST(BitcountXimd, DenseElements)
 TEST(BitcountXimd, MinimumSizeFourElements)
 {
     std::vector<Word> data = {1, 2, 3, 4};
-    XimdMachine m(bitcountXimd(data));
+    Machine m(bitcountXimd(data));
     ASSERT_TRUE(m.run().ok());
     checkCumulative(m, data);
 }
@@ -77,7 +76,7 @@ TEST(BitcountXimd, RejectsBadSizes)
 TEST(BitcountVliwSerial, MatchesReference)
 {
     const auto data = randomData(11, 0.3, 2); // any n works
-    VliwMachine m(bitcountVliwSerial(data));
+    Machine m(bitcountVliwSerial(data), MachineConfig::vliw());
     ASSERT_TRUE(m.run().ok());
     checkCumulative(m, data);
 }
@@ -85,7 +84,7 @@ TEST(BitcountVliwSerial, MatchesReference)
 TEST(BitcountVliwSerial, SingleElement)
 {
     std::vector<Word> data = {0xDEADu};
-    VliwMachine m(bitcountVliwSerial(data));
+    Machine m(bitcountVliwSerial(data), MachineConfig::vliw());
     ASSERT_TRUE(m.run().ok());
     checkCumulative(m, data);
 }
@@ -93,7 +92,7 @@ TEST(BitcountVliwSerial, SingleElement)
 TEST(BitcountVliwLockstep, MatchesReference)
 {
     const auto data = randomData(16, 0.5, 3);
-    VliwMachine m(bitcountVliwLockstep(data));
+    Machine m(bitcountVliwLockstep(data), MachineConfig::vliw());
     ASSERT_TRUE(m.run().ok());
     checkCumulative(m, data);
 }
@@ -103,7 +102,7 @@ TEST(BitcountVliwLockstep, SkewedGroup)
     // One long element per group forces the lockstep loop to run to
     // the group maximum.
     std::vector<Word> data = {0x80000u, 1, 0, 1, 1, 0, 0x80000u, 1};
-    VliwMachine m(bitcountVliwLockstep(data));
+    Machine m(bitcountVliwLockstep(data), MachineConfig::vliw());
     ASSERT_TRUE(m.run().ok());
     checkCumulative(m, data);
 }
@@ -111,8 +110,8 @@ TEST(BitcountVliwLockstep, SkewedGroup)
 TEST(Bitcount, XimdBeatsSerialVliw)
 {
     const auto data = randomData(32, 0.5, 4);
-    XimdMachine x(bitcountXimd(data));
-    VliwMachine v(bitcountVliwSerial(data));
+    Machine x(bitcountXimd(data));
+    Machine v(bitcountVliwSerial(data), MachineConfig::vliw());
     ASSERT_TRUE(x.run().ok());
     ASSERT_TRUE(v.run().ok());
     // Four concurrent inner loops vs one: expect a substantial win.
@@ -124,8 +123,8 @@ TEST(Bitcount, XimdBeatsSerialVliw)
 TEST(Bitcount, XimdBeatsLockstepVliw)
 {
     const auto data = randomData(32, 0.5, 5);
-    XimdMachine x(bitcountXimd(data));
-    VliwMachine v(bitcountVliwLockstep(data));
+    Machine x(bitcountXimd(data));
+    Machine v(bitcountVliwLockstep(data), MachineConfig::vliw());
     ASSERT_TRUE(x.run().ok());
     ASSERT_TRUE(v.run().ok());
     EXPECT_LT(x.cycle(), v.cycle());

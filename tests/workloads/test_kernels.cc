@@ -2,8 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/vliw_machine.hh"
-#include "core/ximd_machine.hh"
+#include "core/machine.hh"
 #include "isa/disasm.hh"
 #include "support/logging.hh"
 #include "workloads/reference.hh"
@@ -14,7 +13,7 @@ namespace {
 TEST(Tproc, MatchesReference)
 {
     const SWord a = 3, b = -4, c = 7, d = 11;
-    XimdMachine m(tprocPaper(a, b, c, d));
+    Machine m(tprocPaper(a, b, c, d));
     EXPECT_TRUE(m.run().ok());
     EXPECT_EQ(wordToInt(m.readRegByName("f")),
               referenceTproc(a, b, c, d));
@@ -24,8 +23,9 @@ TEST(Tproc, RunsIdenticallyOnVliw)
 {
     // Example 1 is VLIW-style code: same program, same result, same
     // cycle count on both machines.
-    XimdMachine x(tprocPaper(1, 2, 3, 4));
-    VliwMachine v(tprocPaper(1, 2, 3, 4));
+    Machine x(tprocPaper(1, 2, 3, 4));
+    Machine v(tprocPaper(1, 2, 3, 4), MachineConfig::vliw());
+    ASSERT_EQ(v.mode(), Mode::Vliw);
     EXPECT_TRUE(x.run().ok());
     EXPECT_TRUE(v.run().ok());
     EXPECT_EQ(x.cycle(), v.cycle());
@@ -38,7 +38,7 @@ TEST(Tproc, SweepAgainstReference)
         for (SWord b : {-1, 9})
             for (SWord c : {2, -3})
                 for (SWord d : {0, 100}) {
-                    XimdMachine m(tprocPaper(a, b, c, d));
+                    Machine m(tprocPaper(a, b, c, d));
                     ASSERT_TRUE(m.run().ok());
                     EXPECT_EQ(wordToInt(m.readRegByName("f")),
                               referenceTproc(a, b, c, d))
@@ -48,14 +48,14 @@ TEST(Tproc, SweepAgainstReference)
 
 TEST(Tproc, TakesFiveCyclesPlusHalt)
 {
-    XimdMachine m(tprocPaper(1, 1, 1, 1));
+    Machine m(tprocPaper(1, 1, 1, 1));
     EXPECT_TRUE(m.run().ok());
     EXPECT_EQ(m.cycle(), 6u);
 }
 
 TEST(MinmaxPaper, SampleDataResults)
 {
-    XimdMachine m(minmaxPaper());
+    Machine m(minmaxPaper());
     EXPECT_TRUE(m.run().ok());
     EXPECT_EQ(wordToInt(m.readRegByName("min")), 3);
     EXPECT_EQ(wordToInt(m.readRegByName("max")), 7);
@@ -64,7 +64,7 @@ TEST(MinmaxPaper, SampleDataResults)
 TEST(MinmaxPaper, ArbitraryData)
 {
     const std::vector<SWord> data = {9, -2, 14, 3, 3, -2, 8};
-    XimdMachine m(minmaxPaperData(data));
+    Machine m(minmaxPaperData(data));
     EXPECT_TRUE(m.run().ok());
     const auto [lo, hi] = referenceMinmax(data);
     EXPECT_EQ(wordToInt(m.readRegByName("min")), lo);
@@ -73,7 +73,7 @@ TEST(MinmaxPaper, ArbitraryData)
 
 TEST(MinmaxPaper, SingleElement)
 {
-    XimdMachine m(minmaxPaperData({42}));
+    Machine m(minmaxPaperData({42}));
     EXPECT_TRUE(m.run().ok());
     EXPECT_EQ(wordToInt(m.readRegByName("min")), 42);
     EXPECT_EQ(wordToInt(m.readRegByName("max")), 42);
@@ -81,7 +81,7 @@ TEST(MinmaxPaper, SingleElement)
 
 TEST(MinmaxPaper, NonTerminatingVariantSpins)
 {
-    XimdMachine m(minmaxPaper(/*terminate=*/false));
+    Machine m(minmaxPaper(/*terminate=*/false));
     EXPECT_EQ(m.run(50).reason, StopReason::MaxCycles);
 }
 
@@ -90,7 +90,7 @@ TEST(Bitcount1Paper, AsPrintedSemantics)
     const std::vector<Word> data = {0x3, 0xFF, 0x0, 0x10,
                                     0x7, 0x1,  0xF, 0xF0,
                                     0x5, 0xAA, 0x1, 0x80000001};
-    XimdMachine m(bitcount1Paper(data));
+    Machine m(bitcount1Paper(data));
     ASSERT_TRUE(m.run().ok());
     const Word b0 = m.program().symbolOrDie("B0");
     const auto expect = referenceBitcount1Paper(data);
@@ -109,7 +109,7 @@ TEST(Bitcount1Paper, UsesMultipleStreams)
     std::vector<Word> data(12);
     for (std::size_t i = 0; i < data.size(); ++i)
         data[i] = static_cast<Word>(1) << (i % 20);
-    XimdMachine m(bitcount1Paper(data));
+    Machine m(bitcount1Paper(data));
     ASSERT_TRUE(m.run().ok());
     const auto &hist = m.stats().partitionHistogram();
     // The inner loops diverge: some cycles must show > 1 stream.
@@ -124,7 +124,7 @@ TEST(Bitcount1Paper, UsesMultipleStreams)
 TEST(Loop12Naive, MatchesReference)
 {
     const std::vector<float> y = {1.0f, 4.0f, 2.5f, 2.5f, -1.0f, 7.0f};
-    XimdMachine m(loop12Naive(y));
+    Machine m(loop12Naive(y));
     ASSERT_TRUE(m.run().ok());
     const Word x0 = m.program().symbolOrDie("X0");
     const auto expect = referenceLoop12(y);
@@ -136,7 +136,7 @@ TEST(Loop12Naive, MatchesReference)
 TEST(Loop12Naive, ThreeCyclesPerIteration)
 {
     std::vector<float> y(11, 1.0f); // n = 10
-    XimdMachine m(loop12Naive(y));
+    Machine m(loop12Naive(y));
     EXPECT_TRUE(m.run().ok());
     EXPECT_EQ(m.cycle(), 3u * 10u + 1u); // + halt row
 }
@@ -144,7 +144,7 @@ TEST(Loop12Naive, ThreeCyclesPerIteration)
 TEST(Loop12Naive, WiderMachinePadsWithNops)
 {
     const std::vector<float> y = {0.0f, 1.0f, 3.0f};
-    XimdMachine m(loop12Naive(y, 8));
+    Machine m(loop12Naive(y, 8));
     ASSERT_TRUE(m.run().ok());
     const Word x0 = m.program().symbolOrDie("X0");
     EXPECT_FLOAT_EQ(wordToFloat(m.peekMem(x0 + 1)), 1.0f);
@@ -154,8 +154,9 @@ TEST(Loop12Naive, WiderMachinePadsWithNops)
 TEST(Loop12Naive, SameOnVliw)
 {
     const std::vector<float> y = {1.0f, 2.0f, 4.0f, 8.0f};
-    XimdMachine x(loop12Naive(y));
-    VliwMachine v(loop12Naive(y));
+    Machine x(loop12Naive(y));
+    Machine v(loop12Naive(y), MachineConfig::vliw());
+    ASSERT_EQ(v.mode(), Mode::Vliw);
     EXPECT_TRUE(x.run().ok());
     EXPECT_TRUE(v.run().ok());
     EXPECT_EQ(x.cycle(), v.cycle());

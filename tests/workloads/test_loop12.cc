@@ -2,8 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/vliw_machine.hh"
-#include "core/ximd_machine.hh"
+#include "core/machine.hh"
 #include "support/logging.hh"
 #include "support/random.hh"
 #include "workloads/kernels.hh"
@@ -23,7 +22,7 @@ randomY(std::size_t m, std::uint64_t seed)
 }
 
 void
-checkX(auto &machine, const std::vector<float> &y)
+checkX(const Machine &machine, const std::vector<float> &y)
 {
     const Word x0 = machine.program().symbolOrDie("X0");
     const auto expect = referenceLoop12(y);
@@ -36,7 +35,7 @@ checkX(auto &machine, const std::vector<float> &y)
 TEST(Loop12Pipelined, MatchesReference)
 {
     const auto y = randomY(13, 1);
-    XimdMachine m(loop12Pipelined(y));
+    Machine m(loop12Pipelined(y));
     ASSERT_TRUE(m.run().ok());
     checkX(m, y);
 }
@@ -44,7 +43,7 @@ TEST(Loop12Pipelined, MatchesReference)
 TEST(Loop12Pipelined, MinimumSize)
 {
     const auto y = randomY(5, 2); // n = 4
-    XimdMachine m(loop12Pipelined(y));
+    Machine m(loop12Pipelined(y));
     ASSERT_TRUE(m.run().ok());
     checkX(m, y);
 }
@@ -58,7 +57,7 @@ TEST(Loop12Pipelined, RejectsTinyInputs)
 TEST(Loop12Pipelined, InitiationIntervalIsOne)
 {
     const auto y = randomY(101, 3); // n = 100
-    XimdMachine m(loop12Pipelined(y));
+    Machine m(loop12Pipelined(y));
     ASSERT_TRUE(m.run().ok());
     // n + 2 pipeline cycles + 1 halt cycle.
     EXPECT_EQ(m.cycle(), 100u + 3u);
@@ -67,8 +66,8 @@ TEST(Loop12Pipelined, InitiationIntervalIsOne)
 TEST(Loop12Pipelined, ThreeTimesFasterThanNaive)
 {
     const auto y = randomY(201, 4); // n = 200
-    XimdMachine pipe(loop12Pipelined(y));
-    XimdMachine naive(loop12Naive(y, 8));
+    Machine pipe(loop12Pipelined(y));
+    Machine naive(loop12Naive(y, 8));
     ASSERT_TRUE(pipe.run().ok());
     ASSERT_TRUE(naive.run().ok());
     const double speedup = static_cast<double>(naive.cycle()) /
@@ -82,8 +81,9 @@ TEST(Loop12Pipelined, IdenticalOnVliwAndXimd)
     // A software-pipelined loop is still one instruction stream: the
     // paper's "fully synchronous VLIW-style execution model".
     const auto y = randomY(33, 5);
-    XimdMachine x(loop12Pipelined(y));
-    VliwMachine v(loop12Pipelined(y));
+    Machine x(loop12Pipelined(y));
+    Machine v(loop12Pipelined(y), MachineConfig::vliw());
+    ASSERT_EQ(v.mode(), Mode::Vliw);
     ASSERT_TRUE(x.run().ok());
     ASSERT_TRUE(v.run().ok());
     EXPECT_EQ(x.cycle(), v.cycle());
@@ -94,7 +94,7 @@ TEST(Loop12Pipelined, IdenticalOnVliwAndXimd)
 TEST(Loop12Pipelined, OneFlopPerCycleInSteadyState)
 {
     const auto y = randomY(501, 6);
-    XimdMachine m(loop12Pipelined(y));
+    Machine m(loop12Pipelined(y));
     ASSERT_TRUE(m.run().ok());
     const double flops_per_cycle =
         static_cast<double>(m.stats().flops()) /

@@ -2,8 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/vliw_machine.hh"
-#include "core/ximd_machine.hh"
+#include "core/machine.hh"
 #include "support/logging.hh"
 #include "support/random.hh"
 #include "workloads/reference.hh"
@@ -25,7 +24,7 @@ TEST(MinmaxVliw, MatchesReferenceOnSamples)
 {
     for (std::uint64_t seed : {1u, 2u, 3u}) {
         const auto data = randomData(17, seed);
-        VliwMachine m(minmaxVliw(data));
+        Machine m(minmaxVliw(data), MachineConfig::vliw());
         ASSERT_TRUE(m.run().ok());
         const auto [lo, hi] = referenceMinmax(data);
         EXPECT_EQ(wordToInt(m.readRegByName("min")), lo);
@@ -38,7 +37,7 @@ TEST(MinmaxVliw, SingleAndDoubleElement)
     for (const auto &data :
          {std::vector<SWord>{5}, std::vector<SWord>{5, -9},
           std::vector<SWord>{-9, 5}}) {
-        VliwMachine m(minmaxVliw(data));
+        Machine m(minmaxVliw(data), MachineConfig::vliw());
         ASSERT_TRUE(m.run().ok());
         const auto [lo, hi] = referenceMinmax(data);
         EXPECT_EQ(wordToInt(m.readRegByName("min")), lo);
@@ -49,8 +48,8 @@ TEST(MinmaxVliw, SingleAndDoubleElement)
 TEST(MinmaxXimd, BeatsVliwPerIteration)
 {
     const auto data = randomData(256, 42);
-    XimdMachine x(minmaxXimd(data));
-    VliwMachine v(minmaxVliw(data));
+    Machine x(minmaxXimd(data));
+    Machine v(minmaxVliw(data), MachineConfig::vliw());
     ASSERT_TRUE(x.run().ok());
     ASSERT_TRUE(v.run().ok());
     // XIMD: 3 cycles/element; VLIW: 5 cycles/element (both + O(1)).
@@ -73,7 +72,7 @@ TEST_P(MultiSearchParam, XimdMatchesReference)
     for (auto &v : data)
         v = static_cast<SWord>(rng.range(0, 5000));
 
-    XimdMachine m(multiSearchXimd(searches, data));
+    Machine m(multiSearchXimd(searches, data));
     ASSERT_TRUE(m.run().ok());
     const auto expect = referenceMultiSearch(searches, data);
     for (unsigned s = 0; s < searches; ++s)
@@ -89,7 +88,7 @@ TEST_P(MultiSearchParam, VliwMatchesReference)
     for (auto &v : data)
         v = static_cast<SWord>(rng.range(0, 5000));
 
-    VliwMachine m(multiSearchVliw(searches, data));
+    Machine m(multiSearchVliw(searches, data), MachineConfig::vliw());
     ASSERT_TRUE(m.run().ok());
     const auto expect = referenceMultiSearch(searches, data);
     for (unsigned s = 0; s < searches; ++s)
@@ -109,8 +108,8 @@ TEST(MultiSearch, XimdIterationCostIndependentOfSearches)
     for (SWord v : data)
         nonneg.push_back(v < 0 ? -v : v);
 
-    XimdMachine m1(multiSearchXimd(1, nonneg));
-    XimdMachine m6(multiSearchXimd(6, nonneg));
+    Machine m1(multiSearchXimd(1, nonneg));
+    Machine m6(multiSearchXimd(6, nonneg));
     ASSERT_TRUE(m1.run().ok());
     ASSERT_TRUE(m6.run().ok());
     EXPECT_EQ(m1.cycle(), m6.cycle());
@@ -123,8 +122,8 @@ TEST(MultiSearch, VliwIterationCostGrowsWithSearches)
     for (SWord v : data)
         nonneg.push_back(v < 0 ? -v : v);
 
-    VliwMachine m1(multiSearchVliw(1, nonneg));
-    VliwMachine m6(multiSearchVliw(6, nonneg));
+    Machine m1(multiSearchVliw(1, nonneg), MachineConfig::vliw());
+    Machine m6(multiSearchVliw(6, nonneg), MachineConfig::vliw());
     ASSERT_TRUE(m1.run().ok());
     ASSERT_TRUE(m6.run().ok());
     // 2S+4 cycles per iteration: 6 vs 16.
@@ -137,7 +136,7 @@ TEST(MultiSearch, VliwIterationCostGrowsWithSearches)
 TEST(MultiSearch, ForkJoinVisibleInPartitionHistogram)
 {
     std::vector<SWord> data = {6, 10, 15, 30, 7, 9};
-    XimdMachine m(multiSearchXimd(3, data));
+    Machine m(multiSearchXimd(3, data));
     ASSERT_TRUE(m.run().ok());
     const auto &hist = m.stats().partitionHistogram();
     EXPECT_TRUE(hist.count(1));

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/ximd_machine.hh"
+#include "core/machine.hh"
 #include "support/logging.hh"
 
 namespace ximd::workloads {
@@ -48,7 +48,7 @@ struct Harness
         return vals;
     }
 
-    XimdMachine machine;
+    Machine machine;
     ScriptedInputPort inA, inB;
     OutputPort outA, outB;
 };
