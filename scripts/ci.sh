@@ -194,15 +194,16 @@ fi
 
 # Snapshot / fuzz / fault / memory / JSON / interval stage: the
 # serialization substrate, the fault injector and the paged memory poke
-# at raw state and page buffers, the JSON reader is an input boundary
-# (service request lines, sweep files, fault plans) with a nesting cap
-# and large-input tests, and the race engine's interval domain indexes
-# a flat rows x slots state array by hand, so run those suites again
-# under ASan+UBSan explicitly (they are also part of the full runs
-# above; this stage keeps them visible and gating on their own).
+# at raw state and page buffers, the JSON reader and its typed field
+# reader are an input boundary (service request lines, sweep files,
+# fault plans) with a nesting cap and large-input tests, and the race
+# engine's interval domain indexes a flat rows x slots state array by
+# hand, so run those suites again under ASan+UBSan explicitly (they are
+# also part of the full runs above; this stage keeps them visible and
+# gating on their own).
 echo "==> test (sanitize: snapshot + fuzz + fault + memory + json + interval suites)"
 ctest --test-dir build-sanitize -j "$JOBS" --output-on-failure \
-    -R 'StateIo|Snapshot|FaultCampaign|DifferentialFuzz|Memory\.|Json\.|ClassIntervals\.|RaceEquivalence\.|cli_xfarm_checkpoint|cli_xfarm_resume|cli_xfarm_faults'
+    -R 'Service\.|Sweep\.|FaultPlan\.|StateIo|Snapshot|FaultCampaign|DifferentialFuzz|Memory\.|Json\.|ClassIntervals\.|RaceEquivalence\.|cli_xfarm_checkpoint|cli_xfarm_resume|cli_xfarm_faults'
 
 # Coverage stage: gcov line coverage of the execution layers.
 echo "==> coverage (gcov: src/sim + src/core)"
@@ -226,8 +227,10 @@ build-tsan/tools/xfarm --quiet -j8 --n 64 --backend=threaded \
     --filter minmax --filter bitcount
 
 # The service runs one worker thread against connection threads; drive
-# a real daemon through accept, submit, blocking results, drain, and
-# the SIGTERM drain path under TSAN.
+# a real daemon through accept, a mistyped request (which must be
+# answered, not kill the daemon: kill -TERM below would then fail),
+# submit, blocking results, drain, and the SIGTERM drain path under
+# TSAN.
 echo "==> tsan (xfarm service: accept, submit, drain)"
 SOCK="$XCC_OUT/tsan_xfarm.sock"
 build-tsan/tools/xfarm --serve "$SOCK" --quiet &
@@ -237,6 +240,7 @@ for _ in $(seq 1 50); do
     sleep 0.1
 done
 printf '%s\n' \
+    '{"cmd":"results","batch":"0"}' \
     '{"cmd":"ping"}' \
     '{"cmd":"submit","suite":{"n":64,"filter":["minmax"]}}' \
     '{"cmd":"results","batch":0,"wait":true}' \

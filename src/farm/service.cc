@@ -157,7 +157,23 @@ Service::handleLine(const std::string &line, const LineSink &out)
         return Action::Continue;
     }
 
+    // Every field below is read through `fields`: a mistyped one is
+    // answered with an error naming it.
+    json::FieldReader fields;
+
     if (cmd->asString() == "submit") {
+        auto batch = std::make_unique<Batch>();
+        const json::Value *resumeField = req.find("resume");
+        std::string resume;
+        fields.get("resume", resumeField, resume);
+        fields.get("batch", req.find("batch"), batch->useBatch);
+        fields.get("threads", req.find("threads"), batch->threads);
+        fields.get("width", req.find("width"), batch->width);
+        if (!fields.ok()) {
+            emitError(out, fields.error());
+            return Action::Continue;
+        }
+
         std::vector<RunSpec> specs;
         if (const json::Value *sweep = req.find("sweep")) {
             auto loaded = parseSweep(sweep->dump(0));
@@ -169,21 +185,28 @@ Service::handleLine(const std::string &line, const LineSink &out)
             }
             specs = std::move(loaded.value());
         } else if (const json::Value *suite = req.find("suite")) {
+            if (!suite->isObject()) {
+                emitError(out, "'suite' must be an object");
+                return Action::Continue;
+            }
             SuiteOptions so;
-            if (const json::Value *n = suite->find("n"))
-                so.n = static_cast<unsigned>(n->asInt());
-            if (const json::Value *seed = suite->find("seed"))
-                so.seed =
-                    static_cast<std::uint64_t>(seed->asInt());
-            if (const json::Value *ax = suite->find("regsync_axis"))
-                so.registeredSyncAxis = ax->asBool();
+            std::vector<std::string> filters;
+            const json::Value *filter = suite->find("filter");
+            fields.get("n", suite->find("n"), so.n);
+            fields.get("seed", suite->find("seed"), so.seed);
+            fields.get("regsync_axis", suite->find("regsync_axis"),
+                       so.registeredSyncAxis);
+            fields.get("filter", filter, filters);
+            if (!fields.ok()) {
+                emitError(out, fields.error());
+                return Action::Continue;
+            }
             specs = builtinSuite(so);
-            if (const json::Value *filter = suite->find("filter")) {
+            if (filter) {
                 std::vector<RunSpec> kept;
                 for (RunSpec &s : specs)
-                    for (const json::Value &f : filter->items())
-                        if (s.name.find(f.asString()) !=
-                            std::string::npos) {
+                    for (const std::string &f : filters)
+                        if (s.name.find(f) != std::string::npos) {
                             kept.push_back(std::move(s));
                             break;
                         }
@@ -200,8 +223,8 @@ Service::handleLine(const std::string &line, const LineSink &out)
 
         // Warm start: restore an XIMDSNAP file into the job it was
         // saved from, matched by the snapshot's label.
-        if (const json::Value *resume = req.find("resume")) {
-            auto info = snapshot::peekFile(resume->asString());
+        if (resumeField) {
+            auto info = snapshot::peekFile(resume);
             if (!info.hasValue()) {
                 emitError(out, info.error().formatted());
                 return Action::Continue;
@@ -209,7 +232,7 @@ Service::handleLine(const std::string &line, const LineSink &out)
             bool found = false;
             for (RunSpec &s : specs)
                 if (s.name == info.value().label) {
-                    s.resumeFrom = resume->asString();
+                    s.resumeFrom = resume;
                     found = true;
                 }
             if (!found) {
@@ -219,15 +242,7 @@ Service::handleLine(const std::string &line, const LineSink &out)
                 return Action::Continue;
             }
         }
-
-        auto batch = std::make_unique<Batch>();
         batch->specs = std::move(specs);
-        if (const json::Value *b = req.find("batch"))
-            batch->useBatch = b->asBool();
-        if (const json::Value *t = req.find("threads"))
-            batch->threads = static_cast<unsigned>(t->asInt());
-        if (const json::Value *w = req.find("width"))
-            batch->width = static_cast<unsigned>(w->asInt());
 
         std::size_t id;
         std::size_t jobs;
@@ -255,10 +270,15 @@ Service::handleLine(const std::string &line, const LineSink &out)
     }
 
     if (cmd->asString() == "status") {
+        const json::Value *idField = req.find("batch");
+        std::size_t id = 0;
+        if (!fields.get("batch", idField, id)) {
+            emitError(out, fields.error());
+            return Action::Continue;
+        }
         std::lock_guard<std::mutex> lock(mu_);
-        if (const json::Value *id = req.find("batch")) {
-            const Batch *b =
-                findLocked(static_cast<std::size_t>(id->asInt()));
+        if (idField) {
+            const Batch *b = findLocked(id);
             if (!b) {
                 emitError(out, "no such batch");
                 return Action::Continue;
@@ -279,20 +299,26 @@ Service::handleLine(const std::string &line, const LineSink &out)
     }
 
     if (cmd->asString() == "results") {
-        const json::Value *id = req.find("batch");
-        if (!id) {
+        const json::Value *idField = req.find("batch");
+        if (!idField) {
             emitError(out, "results needs \"batch\"");
             return Action::Continue;
         }
-        const json::Value *wait = req.find("wait");
+        std::size_t id = 0;
+        bool wait = false;
+        fields.get("batch", idField, id);
+        fields.get("wait", req.find("wait"), wait);
+        if (!fields.ok()) {
+            emitError(out, fields.error());
+            return Action::Continue;
+        }
         std::unique_lock<std::mutex> lock(mu_);
-        Batch *b =
-            findLocked(static_cast<std::size_t>(id->asInt()));
+        Batch *b = findLocked(id);
         if (!b) {
             emitError(out, "no such batch");
             return Action::Continue;
         }
-        if (wait && wait->asBool())
+        if (wait)
             doneCv_.wait(lock,
                          [&] { return b->state == State::Done; });
         if (b->state != State::Done) {

@@ -36,9 +36,10 @@
  *   {"cmd":"shutdown"}  drain, then ask the daemon to exit
  *
  * Errors answer {"schema":1,"ok":false,"error":"..."} and leave the
- * connection usable. Job records carry no host-timing fields, so a
- * batch's results stream is a pure function of its submission —
- * byte-identical across -j1/-jN and across polls.
+ * connection usable; a mistyped field is such an error, naming it.
+ * Job records carry no host-timing fields, so a batch's results
+ * stream is a pure function of its submission — byte-identical
+ * across -j1/-jN and across polls.
  */
 
 #ifndef XIMD_FARM_SERVICE_HH

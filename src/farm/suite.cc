@@ -338,6 +338,15 @@ referenceCheck(const std::string &workload, unsigned n,
     return {};
 }
 
+/** "workload/mode/n=N/seed=S". */
+std::string
+specName(const WorkloadRequest &req)
+{
+    return req.workload + "/" + modeName(req.mode) +
+           "/n=" + std::to_string(req.n) +
+           "/seed=" + std::to_string(req.seed);
+}
+
 } // namespace
 
 const std::vector<std::string> &
@@ -378,9 +387,7 @@ makeWorkloadSpec(const WorkloadRequest &req, ProgramCache *cache)
     }
 
     RunSpec spec;
-    spec.name = req.workload + "/" + modeName(req.mode) +
-                "/n=" + std::to_string(req.n) +
-                "/seed=" + std::to_string(req.seed);
+    spec.name = specName(req);
     spec.config = req.config;
     spec.config.mode = req.mode;
     spec.config.seed = req.seed;
@@ -406,6 +413,18 @@ makeWorkloadSpec(const WorkloadRequest &req, ProgramCache *cache)
         return {errTag, loadFailure(e.what())};
     }
     return spec;
+}
+
+RunSpec
+workloadSpecOrFailure(const WorkloadRequest &req, ProgramCache *cache)
+{
+    auto spec = makeWorkloadSpec(req, cache);
+    if (spec.hasValue())
+        return std::move(spec.value());
+    RunSpec broken;
+    broken.name = specName(req);
+    broken.loadError = spec.error();
+    return broken;
 }
 
 std::shared_ptr<const PreparedProgram>
@@ -434,12 +453,10 @@ builtinSuite(const SuiteOptions &opts)
         req.n = opts.n;
         req.seed = opts.seed;
         req.config.registeredSync = regSync;
-        auto spec = makeWorkloadSpec(req, &cache);
-        // The grid below only names valid combinations.
-        XIMD_ASSERT(spec.hasValue(), "builtinSuite: bad grid entry");
+        RunSpec spec = workloadSpecOrFailure(req, &cache);
         if (regSync)
-            spec.value().name += "/regsync";
-        out.push_back(std::move(spec.value()));
+            spec.name += "/regsync";
+        out.push_back(std::move(spec));
     };
 
     for (const std::string &w : suiteWorkloads()) {

@@ -77,6 +77,14 @@ Result<RunSpec, analysis::Diagnostic>
 makeWorkloadSpec(const WorkloadRequest &req,
                  ProgramCache *cache = nullptr);
 
+/**
+ * makeWorkloadSpec with its failure kept as data: the error arm
+ * becomes a spec of the same name whose loadError carries the
+ * diagnostic, so that job fails alone and the rest of a batch runs.
+ */
+RunSpec workloadSpecOrFailure(const WorkloadRequest &req,
+                              ProgramCache *cache = nullptr);
+
 /** Options shaping the default grid. */
 struct SuiteOptions
 {
@@ -90,6 +98,7 @@ struct SuiteOptions
 /**
  * The full built-in grid: every workload in every valid mode (plus
  * the registered-sync ablation axis when requested), in stable order.
+ * An input size a workload rejects (n = 0) makes per-job failures.
  */
 std::vector<RunSpec> builtinSuite(const SuiteOptions &opts = {});
 

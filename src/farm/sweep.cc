@@ -111,51 +111,20 @@ class Expander
         return true;
     }
 
-    /// @name Typed scalar access to the pinned combination.
-    /// @{
-    bool getString(std::string_view key, std::string &dst)
-    {
-        const json::Value *v = pinned_[key];
-        if (v == nullptr)
-            return true;
-        if (!v->isString())
-            return fail("'" + std::string(key) +
-                        "' must be a string");
-        dst = v->asString();
-        return true;
-    }
-
+    /** Typed read of @p key's value in the pinned combination. */
     template <typename T>
-    bool getUint(std::string_view key, T &dst)
+    bool get(std::string_view key, T &dst)
     {
-        const json::Value *v = pinned_[key];
-        if (v == nullptr)
-            return true;
-        if (!v->isNumber() || v->asNumber() < 0)
-            return fail("'" + std::string(key) +
-                        "' must be a non-negative number");
-        dst = static_cast<T>(v->asInt());
-        return true;
+        json::FieldReader reader;
+        return reader.get(key, pinned_[key], dst) ||
+               fail(reader.error());
     }
-
-    bool getBool(std::string_view key, bool &dst)
-    {
-        const json::Value *v = pinned_[key];
-        if (v == nullptr)
-            return true;
-        if (!v->isBool())
-            return fail("'" + std::string(key) +
-                        "' must be a boolean");
-        dst = v->asBool();
-        return true;
-    }
-    /// @}
 
     /** Build the RunSpec for the currently pinned combination. */
     bool emit()
     {
         std::string modeStr = "ximd";
-        if (!getString("mode", modeStr))
+        if (!get("mode", modeStr))
             return false;
         Mode mode;
         if (modeStr == "ximd")
@@ -170,16 +139,16 @@ class Expander
         std::uint64_t seed = 1;
         Cycle maxCycles = 0;
         MachineConfig config;
-        if (!getUint("n", n) || !getUint("seed", seed) ||
-            !getUint("max_cycles", maxCycles) ||
-            !getBool("registered_sync", config.registeredSync) ||
-            !getUint("result_latency", config.resultLatency) ||
-            !getBool("fast_forward", config.fastForward)) {
+        if (!get("n", n) || !get("seed", seed) ||
+            !get("max_cycles", maxCycles) ||
+            !get("registered_sync", config.registeredSync) ||
+            !get("result_latency", config.resultLatency) ||
+            !get("fast_forward", config.fastForward)) {
             return false;
         }
 
         std::string backendStr = backendName(config.backend);
-        if (!getString("backend", backendStr))
+        if (!get("backend", backendStr))
             return false;
         if (backendStr == "interp")
             config.backend = Backend::Interp;
@@ -192,10 +161,8 @@ class Expander
 
         std::string workload;
         std::string program;
-        if (!getString("workload", workload) ||
-            !getString("program", program)) {
+        if (!get("workload", workload) || !get("program", program))
             return false;
-        }
 
         if (!workload.empty())
             return emitWorkload(workload, mode, n, seed, maxCycles,
@@ -224,17 +191,7 @@ class Expander
         req.seed = seed;
         req.config = config;
         req.maxCycles = maxCycles;
-        auto spec = makeWorkloadSpec(req, &cache_);
-        if (spec.hasValue()) {
-            out_.push_back(std::move(spec.value()));
-        } else {
-            RunSpec broken;
-            broken.name = workload + "/" + modeName(mode) +
-                          "/n=" + std::to_string(n) +
-                          "/seed=" + std::to_string(seed);
-            broken.loadError = spec.error();
-            out_.push_back(std::move(broken));
-        }
+        out_.push_back(workloadSpecOrFailure(req, &cache_));
         return true;
     }
 

@@ -75,42 +75,42 @@ FaultPlan::parse(const json::Value &v)
     if (!v.isObject())
         return {errTag, std::string("fault plan must be a JSON object")};
     FaultPlan plan;
+    json::FieldReader f;
+    std::vector<std::string> kindNames;
     for (const auto &[key, val] : v.members()) {
         if (key == "seed") {
-            plan.seed = static_cast<std::uint64_t>(val.asInt());
+            f.get(key, &val, plan.seed);
         } else if (key == "trials") {
-            plan.trials = static_cast<unsigned>(val.asInt());
+            f.get(key, &val, plan.trials);
         } else if (key == "faults_per_trial") {
-            plan.faultsPerTrial = static_cast<unsigned>(val.asInt());
+            f.get(key, &val, plan.faultsPerTrial);
         } else if (key == "window") {
             if (!val.isArray() || val.items().size() != 2)
                 return {errTag,
                         std::string("'window' must be [lo, hi]")};
-            plan.windowLo =
-                static_cast<Cycle>(val.items()[0].asInt());
-            plan.windowHi =
-                static_cast<Cycle>(val.items()[1].asInt());
+            f.get(key, &val.items()[0], plan.windowLo);
+            f.get(key, &val.items()[1], plan.windowHi);
         } else if (key == "kinds") {
-            if (!val.isArray())
-                return {errTag,
-                        std::string("'kinds' must be an array")};
-            for (const json::Value &k : val.items()) {
-                auto parsed = faultKindFromName(k.asString());
-                if (!parsed)
-                    return {errTag, parsed.error()};
-                plan.kinds.push_back(*parsed);
-            }
+            f.get(key, &val, kindNames);
         } else if (key == "mem_range") {
             if (!val.isArray() || val.items().size() != 2)
                 return {errTag,
                         std::string("'mem_range' must be [lo, hi]")};
-            plan.memLo = static_cast<Addr>(val.items()[0].asInt());
-            plan.memHi = static_cast<Addr>(val.items()[1].asInt());
+            f.get(key, &val.items()[0], plan.memLo);
+            f.get(key, &val.items()[1], plan.memHi);
         } else if (key == "watchdog") {
-            plan.watchdogCycles = static_cast<Cycle>(val.asInt());
+            f.get(key, &val, plan.watchdogCycles);
         } else {
             return {errTag, "unknown fault-plan key '" + key + "'"};
         }
+        if (!f.ok())
+            return {errTag, f.error()};
+    }
+    for (const std::string &name : kindNames) {
+        auto parsed = faultKindFromName(name);
+        if (!parsed)
+            return {errTag, parsed.error()};
+        plan.kinds.push_back(*parsed);
     }
     if (plan.trials == 0)
         return {errTag, std::string("'trials' must be >= 1")};

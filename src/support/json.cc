@@ -96,6 +96,69 @@ Value::dump(int indent) const
     return Writer(indent).value(*this).take();
 }
 
+bool
+FieldReader::fail(std::string_view key, const std::string &rule)
+{
+    error_ = cat("'", key, "' must be ", rule);
+    return false;
+}
+
+bool
+FieldReader::get(std::string_view key, const Value *v, std::string &dst)
+{
+    if (!shouldRead(v))
+        return ok();
+    if (!v->isString())
+        return fail(key, "a string");
+    dst = v->asString();
+    return true;
+}
+
+bool
+FieldReader::get(std::string_view key, const Value *v, bool &dst)
+{
+    if (!shouldRead(v))
+        return ok();
+    if (!v->isBool())
+        return fail(key, "a boolean");
+    dst = v->asBool();
+    return true;
+}
+
+bool
+FieldReader::get(std::string_view key, const Value *v,
+                 std::vector<std::string> &dst)
+{
+    if (!shouldRead(v))
+        return ok();
+    const auto isString = [](const Value &item) {
+        return item.isString();
+    };
+    if (!v->isArray() ||
+        !std::all_of(v->items().begin(), v->items().end(), isString))
+        return fail(key, "an array of strings");
+    dst.clear();
+    for (const Value &item : v->items())
+        dst.push_back(item.asString());
+    return true;
+}
+
+bool
+FieldReader::getUint(std::string_view key, const Value *v,
+                     std::uint64_t max, std::uint64_t &dst)
+{
+    if (!shouldRead(v))
+        return ok();
+    const double d = v->isNumber() ? v->asNumber() : -1.0;
+    if (d < 0.0 || d != std::floor(d))
+        return fail(key, "a non-negative integer");
+    // 0x1p64 is the smallest double no std::uint64_t can hold.
+    if (d >= 0x1p64 || static_cast<std::uint64_t>(d) > max)
+        return fail(key, cat("at most ", max));
+    dst = static_cast<std::uint64_t>(d);
+    return true;
+}
+
 namespace {
 
 /**

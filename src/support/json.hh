@@ -36,8 +36,10 @@
 #ifndef XIMD_SUPPORT_JSON_HH
 #define XIMD_SUPPORT_JSON_HH
 
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -144,6 +146,50 @@ class Value
     std::string str_;
     std::vector<Value> arr_;
     std::vector<Member> obj_;
+};
+
+/**
+ * Typed reads of the fields of an input document: a sweep entry, a
+ * fault plan, a service request. Each get() stores the field's value
+ * @p v in @p dst; an absent field (null @p v) leaves @p dst as it is.
+ * A value of the wrong JSON type is rejected, and so is, for an
+ * unsigned integer @p dst, a negative number, a fraction, or a number
+ * @p dst cannot hold. The first rejection is kept as error(), a
+ * message naming @p key, and every get() after it fails at once, so a
+ * run of reads needs one check at the end.
+ */
+class FieldReader
+{
+  public:
+    bool get(std::string_view key, const Value *v, std::string &dst);
+    bool get(std::string_view key, const Value *v, bool &dst);
+
+    /** An array of strings. */
+    bool get(std::string_view key, const Value *v,
+             std::vector<std::string> &dst);
+
+    template <std::unsigned_integral T>
+    bool get(std::string_view key, const Value *v, T &dst)
+    {
+        std::uint64_t wide = dst;
+        if (!getUint(key, v, std::numeric_limits<T>::max(), wide))
+            return false;
+        dst = static_cast<T>(wide);
+        return true;
+    }
+
+    bool ok() const { return error_.empty(); }
+    const std::string &error() const { return error_; }
+
+  private:
+    /** True when @p v is present and no earlier get() failed. */
+    bool shouldRead(const Value *v) const { return ok() && v != nullptr; }
+
+    bool getUint(std::string_view key, const Value *v,
+                 std::uint64_t max, std::uint64_t &dst);
+    bool fail(std::string_view key, const std::string &rule);
+
+    std::string error_;
 };
 
 /**

@@ -70,6 +70,21 @@ TEST(Service, RejectsGarbageAndUnknownCommands)
     ASSERT_EQ(out.size(), 1u);
     EXPECT_NE(out[0].find("\"ok\":false"), std::string::npos)
         << out[0];
+
+    // Mistyped fields once aborted the daemon.
+    for (const char *line :
+         {R"({"cmd":"results","batch":"0"})",
+          R"({"cmd":"status","batch":-1})",
+          R"({"cmd":"submit","suite":{"n":64},"batch":1})",
+          R"({"cmd":"submit","suite":{"filter":"minmax"}})",
+          R"({"cmd":"submit","suite":{"n":64,"filter":[1]}})",
+          R"({"cmd":"submit","suite":{"n":4294967297}})",
+          R"({"cmd":"submit","suite":7})"}) {
+        out = request(service, line);
+        ASSERT_EQ(out.size(), 1u) << line;
+        EXPECT_NE(out[0].find("\"ok\":false"), std::string::npos)
+            << line << " -> " << out[0];
+    }
     out = request(service, R"({"cmd":"ping"})");
     ASSERT_EQ(out.size(), 1u);
     EXPECT_TRUE(lineSays(out[0], "event", "pong"));
@@ -107,6 +122,30 @@ TEST(Service, SuiteSubmissionStreamsJobsInSpecOrder)
     EXPECT_NE(lines[0].find("\"backend\":\"batch\""),
               std::string::npos)
         << lines[0];
+}
+
+TEST(Service, ZeroSizeSuiteFailsPerJob)
+{
+    // n = 0 is a size some workloads reject: those jobs fail with a
+    // load diagnostic, and the rest of the batch runs.
+    Service service;
+    const auto lines = submitAndStream(
+        service, R"({"cmd":"submit","suite":{"n":0},"threads":1})");
+    ASSERT_GE(lines.size(), 2u);
+    bool minmaxFailed = false;
+    bool tprocPassed = false;
+    for (const std::string &l : lines) {
+        if (l.find("minmax/ximd/n=0") != std::string::npos)
+            minmaxFailed = l.find("requires at least one element") !=
+                           std::string::npos;
+        if (l.find("tproc/ximd/n=0") != std::string::npos)
+            tprocPassed = l.find("\"ok\":true") != std::string::npos;
+    }
+    EXPECT_TRUE(minmaxFailed);
+    EXPECT_TRUE(tprocPassed);
+    EXPECT_TRUE(lineSays(lines.back(), "event", "done"));
+    EXPECT_EQ(lines.back().find("\"failures\":0"), std::string::npos)
+        << lines.back();
 }
 
 TEST(Service, InlineSweepSubmissionRuns)

@@ -142,6 +142,11 @@ TEST(Sweep, StructuralErrorsFailTheLoad)
                                       "mode": "mimd"}]})")
                   .find("mode"),
               std::string::npos);
+    // 2^32 + 1 once wrapped to n = 1 and ran.
+    EXPECT_NE(expandErr(R"({"runs": [{"workload": "minmax",
+                                      "n": 4294967297}]})")
+                  .find("'n' must be at most"),
+              std::string::npos);
 }
 
 TEST(Sweep, InvalidModeComboBecomesPerJobFailure)

@@ -19,6 +19,7 @@
 
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -111,6 +112,38 @@ TEST(FaultCampaign, TrialExpansionIsAPureFunctionOfSeed)
     for (std::size_t i = 0; !differ && i < t0.size(); ++i)
         differ = t0[i].describe() != t1[i].describe();
     EXPECT_TRUE(differ);
+}
+
+TEST(FaultPlan, RejectsMistypedOrWrappingFieldsByName)
+{
+    // A string seed once aborted `xfarm --faults`, and -1 trials
+    // wrapped to 2^32 - 1 and ran out of memory.
+    const std::pair<const char *, const char *> cases[] = {
+        {R"({"seed":"x","trials":2})", "'seed'"},
+        {R"({"trials":-1})", "'trials'"},
+        {R"({"window":[1,1.5]})", "'window'"},
+        {R"({"kinds":["reg-flip",3]})", "'kinds'"},
+    };
+    for (const auto &[text, key] : cases) {
+        auto doc = json::parse(text);
+        ASSERT_TRUE(doc.hasValue()) << text;
+        auto plan = snapshot::FaultPlan::parse(doc.value());
+        ASSERT_FALSE(plan.hasValue()) << text;
+        EXPECT_NE(plan.error().find(key), std::string::npos)
+            << text << " -> " << plan.error();
+    }
+
+    auto doc = json::parse(R"({"seed":7,"trials":3,"window":[2,9],)"
+                           R"("kinds":["cc-flip"],"mem_range":[0,15]})");
+    ASSERT_TRUE(doc.hasValue());
+    auto plan = snapshot::FaultPlan::parse(doc.value());
+    ASSERT_TRUE(plan.hasValue()) << plan.error();
+    EXPECT_EQ(plan.value().seed, 7u);
+    EXPECT_EQ(plan.value().trials, 3u);
+    EXPECT_EQ(plan.value().windowHi, 9u);
+    EXPECT_EQ(plan.value().memHi, 15u);
+    ASSERT_EQ(plan.value().kinds.size(), 1u);
+    EXPECT_EQ(plan.value().kinds[0], snapshot::FaultKind::CcFlip);
 }
 
 } // namespace

@@ -268,5 +268,73 @@ TEST(Json, EmbedRejectsMalformedAndLeavesBufferUntouched)
     }
 }
 
+TEST(Json, FieldReaderReadsTypedFields)
+{
+    const Value doc = parseOk(
+        R"({"s":"x","b":true,"u":4294967295,"big":18446744073709549568,)"
+        R"("list":["a","b"]})");
+    FieldReader f;
+    std::string s;
+    bool b = false;
+    unsigned u = 0;
+    std::uint64_t big = 0;
+    std::vector<std::string> list;
+    unsigned absent = 7;
+    f.get("s", doc.find("s"), s);
+    f.get("b", doc.find("b"), b);
+    f.get("u", doc.find("u"), u);
+    f.get("big", doc.find("big"), big);
+    f.get("list", doc.find("list"), list);
+    f.get("absent", doc.find("absent"), absent);
+    ASSERT_TRUE(f.ok()) << f.error();
+    EXPECT_EQ(s, "x");
+    EXPECT_TRUE(b);
+    EXPECT_EQ(u, 4294967295u);
+    EXPECT_EQ(big, 18446744073709549568ull);
+    EXPECT_EQ(list, (std::vector<std::string>{"a", "b"}));
+    EXPECT_EQ(absent, 7u);
+}
+
+TEST(Json, FieldReaderRejectsWithTheKeyAndKeepsTheFirstError)
+{
+    const auto rejectUnsigned = [](const char *text) {
+        FieldReader f;
+        unsigned dst = 5;
+        const Value v = parseOk(text);
+        EXPECT_FALSE(f.get("n", &v, dst)) << text;
+        EXPECT_EQ(dst, 5u) << text;
+        return f.error();
+    };
+    EXPECT_EQ(rejectUnsigned("\"0\""), "'n' must be a non-negative integer");
+    EXPECT_EQ(rejectUnsigned("-1"), "'n' must be a non-negative integer");
+    EXPECT_EQ(rejectUnsigned("1.5"), "'n' must be a non-negative integer");
+    EXPECT_EQ(rejectUnsigned("4294967297"), "'n' must be at most 4294967295");
+    EXPECT_EQ(rejectUnsigned("1e30"), "'n' must be at most 4294967295");
+
+    FieldReader f;
+    std::uint64_t seed = 0;
+    const Value huge = parseOk("18446744073709551616");
+    EXPECT_FALSE(f.get("seed", &huge, seed));
+    EXPECT_NE(f.error().find("'seed'"), std::string::npos);
+
+    // Later reads fail without touching their destination.
+    bool flag = false;
+    const Value yes = parseOk("true");
+    EXPECT_FALSE(f.get("flag", &yes, flag));
+    EXPECT_FALSE(flag);
+    EXPECT_NE(f.error().find("'seed'"), std::string::npos);
+
+    FieldReader g;
+    std::string s;
+    std::vector<std::string> list;
+    const Value one = parseOk("1");
+    const Value mixed = parseOk(R"(["a",1])");
+    EXPECT_FALSE(g.get("s", &one, s));
+    EXPECT_EQ(g.error(), "'s' must be a string");
+    FieldReader h;
+    EXPECT_FALSE(h.get("filter", &mixed, list));
+    EXPECT_EQ(h.error(), "'filter' must be an array of strings");
+}
+
 } // namespace
 } // namespace ximd::json
