@@ -36,8 +36,21 @@
  *          builtins #maxint and #minint. (empty: nop)
  *   SYNC:  busy | done          (empty: busy)
  *
- * TARGET is a label or an absolute row number. Errors carry the source
- * line number and throw FatalError.
+ * TARGET is a label or an absolute row number.
+ *
+ * Literals: an integer is whatever strtoll(text, &end, 0) consumes in
+ * full (leading whitespace, a sign, 0x hex, 0-led octal, decimal) and
+ * must fit in 32 bits signed or unsigned; a float (`.float`, `.initf`,
+ * a '#' immediate containing '.') is whatever strtof consumes in full.
+ * Mnemonics, branch conditions and sync fields fold case; directives,
+ * names and labels do not.
+ *
+ * The assembler works in three stages over views of the source, with
+ * no per-line copies: statements (directives, labels, and rows cut
+ * into parcels and `ctrl ; data ; sync` fields), then the symbol table
+ * (directives run and labels bind in line order), then encoding (rows
+ * become parcels). The first error stops it with an AsmError carrying
+ * the source line and the undecorated message.
  */
 
 #ifndef XIMD_ASM_ASSEMBLER_HH

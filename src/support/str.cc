@@ -5,18 +5,6 @@
 
 namespace ximd {
 
-std::string_view
-trim(std::string_view s)
-{
-    std::size_t b = 0;
-    std::size_t e = s.size();
-    while (b < e && std::isspace(static_cast<unsigned char>(s[b])))
-        ++b;
-    while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1])))
-        --e;
-    return s.substr(b, e - b);
-}
-
 std::vector<std::string_view>
 split(std::string_view s, char sep)
 {
@@ -31,27 +19,6 @@ split(std::string_view s, char sep)
     return out;
 }
 
-std::vector<std::string_view>
-splitOn(std::string_view s, std::string_view sep)
-{
-    std::vector<std::string_view> out;
-    if (sep.empty()) {
-        out.push_back(s);
-        return out;
-    }
-    std::size_t start = 0;
-    while (true) {
-        std::size_t pos = s.find(sep, start);
-        if (pos == std::string_view::npos) {
-            out.push_back(s.substr(start));
-            break;
-        }
-        out.push_back(s.substr(start, pos - start));
-        start = pos + sep.size();
-    }
-    return out;
-}
-
 std::string
 toLower(std::string_view s)
 {
@@ -59,13 +26,6 @@ toLower(std::string_view s)
     for (char &c : out)
         c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
     return out;
-}
-
-bool
-startsWith(std::string_view s, std::string_view prefix)
-{
-    return s.size() >= prefix.size() &&
-           s.substr(0, prefix.size()) == prefix;
 }
 
 std::string

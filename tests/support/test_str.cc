@@ -37,32 +37,9 @@ TEST(Str, SplitTrailingSeparatorYieldsEmpty)
     EXPECT_EQ(parts[1], "");
 }
 
-TEST(Str, SplitOnMultiChar)
-{
-    auto parts = splitOn("p0 || p1 || p2", "||");
-    ASSERT_EQ(parts.size(), 3u);
-    EXPECT_EQ(trim(parts[0]), "p0");
-    EXPECT_EQ(trim(parts[1]), "p1");
-    EXPECT_EQ(trim(parts[2]), "p2");
-}
-
-TEST(Str, SplitOnNoMatch)
-{
-    auto parts = splitOn("abc", "||");
-    ASSERT_EQ(parts.size(), 1u);
-    EXPECT_EQ(parts[0], "abc");
-}
-
 TEST(Str, ToLower)
 {
     EXPECT_EQ(toLower("IAdd R3"), "iadd r3");
-}
-
-TEST(Str, StartsWith)
-{
-    EXPECT_TRUE(startsWith("ccall", "cc"));
-    EXPECT_FALSE(startsWith("c", "cc"));
-    EXPECT_TRUE(startsWith("x", ""));
 }
 
 TEST(Str, Hex2Formatting)
