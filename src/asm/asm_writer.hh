@@ -21,6 +21,7 @@
 #ifndef XIMD_ASM_ASM_WRITER_HH
 #define XIMD_ASM_ASM_WRITER_HH
 
+#include <span>
 #include <string>
 
 #include "isa/program.hh"
@@ -29,6 +30,16 @@ namespace ximd {
 
 /** Render @p prog as assembler source text. */
 std::string writeAssembly(const Program &prog);
+
+/**
+ * One `.word ADDR V0 V1 ...` line, newline included. Values print as
+ * raw unsigned words, signed data as two's complement and float data
+ * by bit pattern, so assembling the line rebuilds them bit-exactly.
+ * writeAssembly() prints its memory image through the same formatter.
+ */
+std::string wordLine(Addr addr, std::span<const Word> values);
+std::string wordLine(Addr addr, std::span<const SWord> values);
+std::string wordLine(Addr addr, std::span<const float> values);
 
 } // namespace ximd
 

@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "asm/asm_writer.hh"
 #include "asm/assembler.hh"
 #include "support/logging.hh"
 
@@ -25,10 +26,7 @@ dataHeader(const std::vector<Word> &data)
     os << ".const D0 " << kD0 << "\n"
           ".const B0 " << bBase(n) << "\n"
           ".init n " << n << "\n"
-          ".word " << kD0 + 1;
-    for (Word v : data)
-        os << " " << static_cast<SWord>(v);
-    os << "\n";
+       << wordLine(kD0 + 1, data);
     return os.str();
 }
 

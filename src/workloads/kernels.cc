@@ -2,25 +2,11 @@
 
 #include <sstream>
 
+#include "asm/asm_writer.hh"
 #include "asm/assembler.hh"
 #include "support/logging.hh"
 
 namespace ximd::workloads {
-
-namespace {
-
-/** Append one ".word ADDR v v v ..." line. */
-template <typename T>
-void
-emitWords(std::ostringstream &os, Addr addr, const std::vector<T> &vals)
-{
-    os << ".word " << addr;
-    for (const T &v : vals)
-        os << " " << v;
-    os << "\n";
-}
-
-} // namespace
 
 Program
 tprocPaper(SWord a, SWord b, SWord c, SWord d)
@@ -60,7 +46,7 @@ minmaxPaperData(const std::vector<SWord> &data, bool terminate)
           ".reg tz\n.reg k\n.reg n\n.reg tn\n.reg min\n.reg max\n"
           ".const z " << z << "\n"
           ".init n " << data.size() << "\n";
-    emitWords(os, z, data);
+    os << wordLine(z, data);
 
     // Example 2, verbatim, including the two unused addresses 06/07 so
     // the instruction-memory addresses match the paper (and Figure 10).
@@ -145,7 +131,7 @@ bitcount1Paper(const std::vector<Word> &data)
           ".const B2 " << b0 + 2 << "\n"
           ".const B3 " << b0 + 3 << "\n"
           ".init n " << n << "\n";
-    emitWords(os, d0 + 1, data); // D[1..n]
+    os << wordLine(d0 + 1, data); // D[1..n]
 
     os <<
         // Startup (paper addresses 00:, 01:).
@@ -228,7 +214,6 @@ loop12Naive(const std::vector<float> &y, FuId width)
     const Addr x0 = static_cast<Addr>(y0 + y.size() + 16); // X(k) at x0+k
 
     std::ostringstream os;
-    os.precision(9);
     os << ".fus " << width << "\n"
           ".reg k\n.reg n\n.reg y0\n.reg y1\n.reg x\n.reg ax\n"
           ".const Y0 " << y0 << "\n"
@@ -236,10 +221,7 @@ loop12Naive(const std::vector<float> &y, FuId width)
           ".const X0 " << x0 << "\n"
           ".init k 1\n"
           ".init n " << n << "\n";
-    os << ".float " << y0 + 1;
-    for (float f : y)
-        os << " " << f;
-    os << "\n";
+    os << wordLine(y0 + 1, y);
 
     // Build rows with explicit cells; unused FUs carry the same control
     // op and a nop so the program stays a single instruction stream.

@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "asm/asm_writer.hh"
 #include "asm/assembler.hh"
 #include "support/logging.hh"
 
@@ -20,7 +21,6 @@ loop12Pipelined(const std::vector<float> &y)
     const std::size_t kend1 = n + 1;    // compare value for the latch
 
     std::ostringstream os;
-    os.precision(9);
     os << ".fus 8\n"
           ".reg k\n"
           ".reg y0a\n.reg y1a\n.reg xa\n.reg axa\n"
@@ -30,11 +30,10 @@ loop12Pipelined(const std::vector<float> &y)
           ".const X0 " << x0 << "\n"
           ".const KEND1 " << kend1 << "\n"
           ".init k 1\n";
-    os << ".float " << y0 + 1;
-    for (float f : y)
-        os << " " << f;
     // Two scratch words cover the drained pipeline's trailing loads.
-    os << " 0 0\n";
+    std::vector<float> words(y);
+    words.insert(words.end(), 2, 0.0f);
+    os << wordLine(y0 + 1, words);
 
     // Stage plan (iteration i): S0 loads + address at cycle i-1,
     // S1 subtract at cycle i, S2 store at cycle i+1. Odd iterations

@@ -2,25 +2,12 @@
 
 #include <sstream>
 
+#include "asm/asm_writer.hh"
 #include "asm/assembler.hh"
 #include "support/logging.hh"
 #include "workloads/kernels.hh"
 
 namespace ximd::workloads {
-
-namespace {
-
-void
-emitData(std::ostringstream &os, Addr addr,
-         const std::vector<SWord> &vals)
-{
-    os << ".word " << addr;
-    for (SWord v : vals)
-        os << " " << v;
-    os << "\n";
-}
-
-} // namespace
 
 Program
 minmaxXimd(const std::vector<SWord> &data)
@@ -41,7 +28,7 @@ minmaxVliw(const std::vector<SWord> &data)
           ".reg min\n.reg max\n"
           ".const z " << z << "\n"
           ".init n " << data.size() << "\n";
-    emitData(os, z, data);
+    os << wordLine(z, data);
 
     // One branch per cycle. Loop-invariant layout:
     //   at L02 entry: tz = current element, cc0 = (tz < min),
@@ -117,7 +104,7 @@ multiSearchHeader(unsigned searches, const std::vector<SWord> &data,
         os << ".reg m" << s << "\n.reg c" << s << "\n";
     os << ".const z " << z << "\n"
           ".init n " << data.size() << "\n";
-    emitData(os, z, data);
+    os << wordLine(z, data);
     return os.str();
 }
 

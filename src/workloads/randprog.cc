@@ -3,6 +3,7 @@
 #include <sstream>
 #include <vector>
 
+#include "asm/asm_writer.hh"
 #include "asm/assembler.hh"
 #include "support/logging.hh"
 #include "support/random.hh"
@@ -91,11 +92,11 @@ randomLockstepSource(const RandProgOptions &o)
             os << ".reg " << regName(f, r) << "\n.init "
                << regName(f, r) << " " << rng.range(-100, 100)
                << "\n";
+    std::vector<SWord> words(o.memWordsPerFu);
     for (FuId f = 0; f < o.width; ++f) {
-        os << ".word " << o.memBase + f * o.memWordsPerFu;
-        for (unsigned w = 0; w < o.memWordsPerFu; ++w)
-            os << " " << rng.range(-100, 100);
-        os << "\n";
+        for (SWord &w : words)
+            w = static_cast<SWord>(rng.range(-100, 100));
+        os << wordLine(o.memBase + f * o.memWordsPerFu, words);
     }
 
     // Row 0 is always a compare so cc0 dominates every branch row.
