@@ -25,9 +25,11 @@
 # compiler-pipeline timings
 # (bench_sched_compile) as a top-level "sched_compile" section, the
 # simulate*/interp-vs-threaded pairs as a top-level
-# "execution_backends" section with per-row cycles/s and speedup, and
-# the race engine's per-program lint time (bench_race_lint) as a
-# top-level "race_lint" section.
+# "execution_backends" section with per-row cycles/s and speedup, the
+# race engine's per-program lint time (bench_race_lint) as a
+# top-level "race_lint" section, and the assembler's microseconds per
+# source line and the writer's per program (bench_assemble) as a
+# top-level "assembler" section.
 #
 #   scripts/run_benchmarks.sh [build-dir] [min-time]
 #
@@ -100,7 +102,8 @@ for fname in sorted(os.listdir(tmp)):
             "iterations": b.get("iterations"),
         }
         for counter in ("machine_cycles_per_s", "machines_per_s",
-                        "jobs_per_s", "us_per_program", "programs"):
+                        "jobs_per_s", "us_per_program", "programs",
+                        "us_per_line", "lines"):
             if counter in b:
                 entry[counter] = b[counter]
         merged["benchmarks"].append(entry)
@@ -226,6 +229,30 @@ lint = [
 ]
 if lint:
     merged["race_lint"] = lint
+
+# Assembler summary (bench_assemble): assembleString microseconds per
+# source line over three text corpora (the built-in suite, the
+# Livermore compiles, one 65536-value data line) and writeAssembly
+# microseconds per program -- the text boundary every program crosses.
+assembler = {"assemble": [], "write": []}
+for b in merged["benchmarks"]:
+    if b["binary"] != "bench_assemble":
+        continue
+    kind, corpus = b["name"].split("/", 1)
+    if kind == "assemble" and "us_per_line" in b:
+        assembler["assemble"].append({
+            "corpus": corpus,
+            "lines": int(b["lines"]),
+            "us_per_line": round(b["us_per_line"], 4),
+        })
+    elif kind == "write" and "us_per_program" in b:
+        assembler["write"].append({
+            "corpus": corpus,
+            "programs": int(b["programs"]),
+            "us_per_program": round(b["us_per_program"], 3),
+        })
+if assembler["assemble"] or assembler["write"]:
+    merged["assembler"] = assembler
 
 # Execution-backend summary: every simulate*/<backend>/... row pairs
 # an interpreter run with its threaded-code twin; report simulated
