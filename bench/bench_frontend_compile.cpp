@@ -1,7 +1,8 @@
 /**
  * @file
  * FRONTEND_COMPILE — host-side cost of the C frontend and the
- * register allocator over the Livermore kernels (examples/c/*.c).
+ * register allocator over the Livermore kernels (the .c files in
+ * examples/c).
  * Stages priced separately: lex+parse+lower (frontend proper),
  * direct allocation, spilling linear scan into a tight window, and
  * the full xcc --input=c path through scheduling and codegen. The

@@ -470,14 +470,14 @@ class PairProduct
     std::optional<bool>
     syncDone(FuId j, InstAddr ra, InstAddr rb) const
     {
-        auto on = [&](const ClassInfo &ci, InstAddr r) {
+        auto on = [&](InstAddr r) {
             return r == halt_ ||
                    prog_.parcel(r, j).sync == SyncVal::Done;
         };
         if (j < a_.isMember.size() && a_.isMember[j])
-            return on(a_, ra);
+            return on(ra);
         if (j < b_.isMember.size() && b_.isMember[j])
-            return on(b_, rb);
+            return on(rb);
         return std::nullopt; // third party: unknown
     }
 

@@ -80,7 +80,9 @@ dataKind(Opcode op)
       case Opcode::Ftoi:  return ExecKind::Ftoi;
       case Opcode::Load:  return ExecKind::Load;
       case Opcode::Store: return ExecKind::Store;
-      case Opcode::Nop:   break;
+      case Opcode::Nop:
+      case Opcode::NumOpcodes:
+        break;
     }
     panic("dataKind: no token for ", opcodeName(op));
 }

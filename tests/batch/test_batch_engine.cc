@@ -51,9 +51,10 @@ expectParity(const JobResult &scalar, const JobResult &batched,
         << context;
     EXPECT_EQ(scalar.error.has_value(), batched.error.has_value())
         << context;
-    if (scalar.error && batched.error)
+    if (scalar.error && batched.error) {
         EXPECT_EQ(scalar.error->message, batched.error->message)
             << context;
+    }
 }
 
 std::vector<RunSpec>

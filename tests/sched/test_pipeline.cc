@@ -94,10 +94,12 @@ TEST(Pipeline, DumpHookFiresAfterEveryPass)
         seen.push_back(pass);
         // The context is live at hook time: by codegen the program
         // exists, before it only the IR does.
-        if (pass == "codegen")
+        if (pass == "codegen") {
             EXPECT_TRUE(cx.hasProgram);
-        if (pass == "validate-ir")
+        }
+        if (pass == "validate-ir") {
             EXPECT_FALSE(cx.hasProgram);
+        }
     });
     ASSERT_TRUE(cc.compile(reduceIr()).hasValue());
     EXPECT_EQ(seen,
