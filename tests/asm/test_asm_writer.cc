@@ -54,6 +54,20 @@ TEST(AsmWriter, SecondGenerationIsAFixpoint)
     EXPECT_EQ(once, twice);
 }
 
+TEST(AsmWriter, WordLinePrintsRawWords)
+{
+    EXPECT_EQ(wordLine(64, std::vector<Word>{0, 4294967295u}),
+              ".word 64 0 4294967295\n");
+    EXPECT_EQ(wordLine(8, std::vector<SWord>{-1, 7}),
+              ".word 8 4294967295 7\n");
+    const std::vector<float> floats{1.5f, -0.0f};
+    const Program p =
+        assembleString(".fus 1\n" + wordLine(100, floats) + "halt\n");
+    ASSERT_EQ(p.memInit().size(), 2u);
+    EXPECT_EQ(p.memInit()[0].second, floatToWord(1.5f));
+    EXPECT_EQ(p.memInit()[1].second, 0x80000000u);
+}
+
 TEST(AsmWriter, InitAcceptsNumericRegisterForm)
 {
     const Program p = assembleString(".fus 1\n"
