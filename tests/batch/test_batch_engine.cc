@@ -200,13 +200,25 @@ TEST(BatchParity, FaultsMatchScalarMessages)
          ".fus 1\n"
          "x: halt ; store #1,#99999999\n"},
     };
+    // Each case also runs on the VLIW machine, whose faulting cycle is
+    // still charged to the single-stream partition histogram; the
+    // interpreter's scalar run is the oracle for both.
     for (const auto &c : cases) {
-        const RunSpec spec = sourceSpec(c.src, c.name);
-        const BatchResult batched = BatchRunner::run({spec}, 1, 4);
-        ASSERT_EQ(batched.jobs.size(), 1u);
-        expectParity(Farm::runOne(spec), batched.jobs[0], c.name);
-        EXPECT_EQ(batched.jobs[0].run.reason, StopReason::Fault)
-            << c.name;
+        for (Mode mode : {Mode::Ximd, Mode::Vliw}) {
+            const std::string context =
+                std::string(c.name) + "/" + modeName(mode);
+            RunSpec spec = sourceSpec(c.src, c.name);
+            spec.config.mode = mode;
+            const BatchResult batched = BatchRunner::run({spec}, 1, 4);
+            ASSERT_EQ(batched.jobs.size(), 1u) << context;
+            expectParity(Farm::runOne(spec), batched.jobs[0], context);
+            RunSpec interp = spec;
+            interp.config.backend = Backend::Interp;
+            expectParity(Farm::runOne(interp), batched.jobs[0],
+                         context + "/interp");
+            EXPECT_EQ(batched.jobs[0].run.reason, StopReason::Fault)
+                << context;
+        }
     }
 }
 

@@ -78,6 +78,34 @@ crossPageProgram()
         "halt ; load #5000,#0,r5 || halt ; nop\n");
 }
 
+/**
+ * Same-cycle write conflicts on row 1, after one committed cycle: two
+ * FUs adding into one register, two FUs storing to one address, and a
+ * 4-FU row writing r7, r5, r5, r7. Under ConflictPolicy::Fault the
+ * last must name r5 — the lowest conflicting register, not the first
+ * conflicting FU.
+ */
+const struct
+{
+    const char *name;
+    const char *src;
+} kConflictPrograms[] = {
+    {"reg-conflict", ".fus 2\n"
+                     "-> 1 ; iadd #9,#0,r1 || -> 1 ; nop\n"
+                     "-> 2 ; iadd #1,#2,r2 || -> 2 ; iadd #3,#4,r2\n"
+                     "halt ; nop || halt ; nop\n"},
+    {"mem-conflict", ".fus 2\n"
+                     "-> 1 ; iadd #9,#0,r1 || -> 1 ; nop\n"
+                     "-> 2 ; store #1,#40 || -> 2 ; store #2,#40\n"
+                     "halt ; nop || halt ; nop\n"},
+    {"r7-r5-r5-r7",
+     ".fus 4\n"
+     "-> 1 ; iadd #9,#0,r1 || -> 1 ; nop || -> 1 ; nop || -> 1 ; nop\n"
+     "-> 2 ; iadd #1,#0,r7 || -> 2 ; iadd #2,#0,r5 || "
+     "-> 2 ; iadd #3,#0,r5 || -> 2 ; iadd #4,#0,r7\n"
+     "halt ; nop || halt ; nop || halt ; nop || halt ; nop\n"},
+};
+
 TEST(Backend, DefaultConfigSelectsThreadedAndRunsIt)
 {
     Machine m(workloads::minmaxPaper(true));
@@ -191,14 +219,26 @@ TEST(Backend, ThreadedMatchesInterpObservables)
         Program program;
         MachineConfig config;
     };
-    const std::vector<Input> inputs = {
+    std::vector<Input> inputs = {
         {"minmax", workloads::minmaxPaper(true), MachineConfig{}},
         {"cross-page", crossPageProgram(), MachineConfig{}},
         {"cross-page/5000-words", crossPageProgram(),
          MachineConfig{}.withMemWords(5000)},
     };
+    for (const auto &c : kConflictPrograms)
+        for (Mode mode : {Mode::Ximd, Mode::Vliw})
+            for (ConflictPolicy policy :
+                 {ConflictPolicy::Fault, ConflictPolicy::LowestFuWins})
+                inputs.push_back(
+                    {c.name, assembleString(c.src),
+                     MachineConfig{}.withMode(mode).withConflictPolicy(
+                         policy)});
     for (const Input &in : inputs) {
-        SCOPED_TRACE(in.name);
+        SCOPED_TRACE(std::string(in.name) + "/" +
+                     modeName(in.config.mode) + "/" +
+                     (in.config.conflictPolicy == ConflictPolicy::Fault
+                          ? "fault"
+                          : "lowest-fu-wins"));
         Machine interp(in.program,
                        MachineConfig(in.config).withBackend(
                            Backend::Interp));
@@ -217,6 +257,12 @@ TEST(Backend, ThreadedMatchesInterpObservables)
                   threaded.stats().formatted());
         EXPECT_EQ(interp.partitions().formatted(),
                   threaded.partitions().formatted());
+        if (std::string(in.name) == "r7-r5-r5-r7" &&
+            in.config.conflictPolicy == ConflictPolicy::Fault) {
+            EXPECT_EQ(rt.faultMessage,
+                      "fatal: register write conflict: FU1 and FU2 both "
+                      "write r5 this cycle");
+        }
     }
 }
 

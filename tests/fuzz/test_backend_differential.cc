@@ -12,15 +12,18 @@
  *    under both backends and compared on cycles, final architectural
  *    hash, and full statistics;
  *  - 50 seeded random lockstep programs, stepped under both backends
- *    with randomized cut points — the machines pause at the same
- *    (randomly drawn) cycle boundaries and must agree on
- *    archStateHash at every cut, which catches block-boundary bugs a
- *    run-to-completion comparison would mask;
+ *    with randomized cut points, and BITCOUNT1 stepped in 1-, 2- and
+ *    3-cycle chunks (its barrier makes fast-forward land on block
+ *    edges) — the machines pause at the same cycle boundaries and
+ *    must agree at every cut on the architectural and full state
+ *    hashes, the statistics and the SSET partition, which catches
+ *    block-boundary bugs a run-to-completion comparison would mask;
  *  - busy-wait fast-forward under an observer that caps skips via
  *    nextWake(): the threaded backend must honor the cap and remain
  *    indistinguishable from the interpreter.
  */
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -107,36 +110,56 @@ TEST(BackendDifferential, WorkloadGridMatchesInterpreter)
 }
 
 /**
- * Step both backends through the same randomly drawn cycle budgets
- * and require identical architectural state at every cut point. The
- * cut schedule is a pure function of the seed, so failures replay.
+ * Step both backends through the same cycle budgets — `chunkAt(cut)`
+ * cycles per cut, for at most `maxCuts` cuts — and require identical
+ * state at every cut point: stop reason, cycle, architectural and
+ * full state hashes (the latter covers the done notification), the
+ * statistics, and the SSET partition. The program must halt cleanly
+ * within the schedule.
  */
 void
-lockstepCompare(const Program &prog, Mode mode, std::uint64_t seed)
+lockstepCompare(const Program &prog, Mode mode, const std::string &label,
+                int maxCuts, const std::function<Cycle(int)> &chunkAt)
 {
     Machine interp(prog, configFor(mode, Backend::Interp));
     Machine threaded(prog, configFor(mode, Backend::Threaded));
     ASSERT_EQ(threaded.core().demotionReason(), "");
 
-    Rng rng(seed * 0x9e3779b97f4a7c15ULL + 1);
-    for (int cut = 0; cut < 200; ++cut) {
-        const Cycle chunk = static_cast<Cycle>(rng.range(1, 37));
+    for (int cut = 0; cut < maxCuts; ++cut) {
+        const Cycle chunk = chunkAt(cut);
         const RunResult ri = interp.run(chunk);
         const RunResult rt = threaded.run(chunk);
-        ASSERT_EQ(ri.reason, rt.reason)
-            << "seed " << seed << " cut " << cut;
-        ASSERT_EQ(interp.cycle(), threaded.cycle())
-            << "seed " << seed << " cut " << cut;
+        const std::string where = label + " cut " + std::to_string(cut) +
+                                  " at cycle " +
+                                  std::to_string(interp.cycle());
+        ASSERT_EQ(ri.reason, rt.reason) << where;
+        ASSERT_EQ(interp.cycle(), threaded.cycle()) << where;
         ASSERT_EQ(interp.archStateHash(), threaded.archStateHash())
-            << "seed " << seed << " cut " << cut << " at cycle "
-            << interp.cycle();
+            << where;
+        ASSERT_EQ(interp.stateHash(), threaded.stateHash()) << where;
+        ASSERT_EQ(interp.stats().formatted(),
+                  threaded.stats().formatted())
+            << where;
+        ASSERT_EQ(interp.partitions().formatted(),
+                  threaded.partitions().formatted())
+            << where;
         if (ri.reason == StopReason::Halted)
             return;
         ASSERT_EQ(ri.reason, StopReason::MaxCycles)
-            << "seed " << seed << ": " << ri.faultMessage;
+            << where << ": " << ri.faultMessage;
     }
-    FAIL() << "seed " << seed << " did not halt within the cut "
-           << "schedule";
+    FAIL() << label << " did not halt within the cut schedule";
+}
+
+/** lockstepCompare with cut budgets drawn from a seeded stream. */
+void
+randomCutCompare(const Program &prog, Mode mode, std::uint64_t seed)
+{
+    Rng rng(seed * 0x9e3779b97f4a7c15ULL + 1);
+    lockstepCompare(prog, mode, "seed " + std::to_string(seed), 200,
+                    [&rng](int) {
+                        return static_cast<Cycle>(rng.range(1, 37));
+                    });
 }
 
 TEST(BackendDifferential, RandProgCutPointsXimd)
@@ -147,8 +170,8 @@ TEST(BackendDifferential, RandProgCutPointsXimd)
         opts.width = 1 + seed % 8;
         opts.rows = 20 + seed % 60;
         opts.branchPercent = 10 + seed % 40;
-        lockstepCompare(workloads::randomLockstepProgram(opts),
-                        Mode::Ximd, seed);
+        randomCutCompare(workloads::randomLockstepProgram(opts),
+                         Mode::Ximd, seed);
     }
 }
 
@@ -160,9 +183,24 @@ TEST(BackendDifferential, RandProgCutPointsVliw)
         opts.width = 1 + (seed * 3) % 8;
         opts.rows = 20 + (seed * 7) % 60;
         opts.branchPercent = 10 + seed % 40;
-        lockstepCompare(workloads::randomLockstepProgram(opts),
-                        Mode::Vliw, seed);
+        randomCutCompare(workloads::randomLockstepProgram(opts),
+                         Mode::Vliw, seed);
     }
+}
+
+TEST(BackendDifferential, Bitcount1FixedChunkCuts)
+{
+    // Every FU reaches the barrier at a different cycle, so short
+    // fixed chunks cut inside busy-wait spins, at the cycle a skip
+    // lands on, and at the final halt.
+    std::vector<Word> bits(16);
+    for (std::size_t i = 0; i < bits.size(); ++i)
+        bits[i] = static_cast<Word>(0x5a5a0000u + i * 2654435761u);
+    const Program prog = workloads::bitcount1Paper(bits);
+    for (Cycle chunk : {Cycle(1), Cycle(2), Cycle(3)})
+        lockstepCompare(prog, Mode::Ximd,
+                        "chunk " + std::to_string(chunk), 100'000,
+                        [chunk](int) { return chunk; });
 }
 
 /**
