@@ -806,7 +806,7 @@ BatchEngine::foldStats(unsigned lane) const
                     s.countPartitions(n, ls.partitionCycles[n]);
         }
     } else if (config_.trackPartitions) {
-        s.countPartitions(1, ls.cycles);
+        s.countPartitions(1, ls.cycles + !faultMsg_[lane].empty());
     }
     for (std::size_t c = 0; c < 8; ++c)
         if (ls.classCounts[c])
