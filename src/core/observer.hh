@@ -68,7 +68,10 @@ inline constexpr Cycle kNeverWake = ~Cycle(0);
  * onBlock() carrying the exact sums its per-cycle hooks would have
  * accumulated over the same cycles; the backend guarantees the block
  * never spans a fault (the faulting cycle's counts are excluded, as
- * onCommit() would have been skipped).
+ * onCommit() would have been skipped, and the backend reports that
+ * cycle through onCycle() alone, as the interpreter does). The
+ * threaded backend fills it once per block, at block exit, from
+ * per-token execution and taken-branch counters.
  */
 struct BlockStats
 {
