@@ -29,7 +29,9 @@
 # race engine's per-program lint time (bench_race_lint) as a
 # top-level "race_lint" section, and the assembler's microseconds per
 # source line and the writer's per program (bench_assemble) as a
-# top-level "assembler" section.
+# top-level "assembler" section, and the host nanoseconds per
+# simulated cycle of each long-jobs spec with the statistics package
+# on and off (bench_sim_cycle) as a top-level "sim_cycle" section.
 #
 #   scripts/run_benchmarks.sh [build-dir] [min-time]
 #
@@ -103,7 +105,8 @@ for fname in sorted(os.listdir(tmp)):
         }
         for counter in ("machine_cycles_per_s", "machines_per_s",
                         "jobs_per_s", "us_per_program", "programs",
-                        "us_per_line", "lines"):
+                        "us_per_line", "lines", "ns_per_cycle",
+                        "sim_cycles"):
             if counter in b:
                 entry[counter] = b[counter]
         merged["benchmarks"].append(entry)
@@ -253,6 +256,26 @@ for b in merged["benchmarks"]:
         })
 if assembler["assemble"] or assembler["write"]:
     merged["assembler"] = assembler
+
+# Simulated-cycle summary (bench_sim_cycle): host ns per simulated
+# cycle of each long-jobs spec, observed (default config: stats and
+# partition tracking) and bare (withoutObservers()); the difference is
+# what the section 4.1 statistics package costs per cycle.
+sim_cycle = {}
+for b in merged["benchmarks"]:
+    if b["binary"] != "bench_sim_cycle" or "ns_per_cycle" not in b:
+        continue
+    _, workload, mode, kind = b["name"].split("/")
+    row = sim_cycle.setdefault(workload + "/" + mode,
+                               {"spec": workload + "/" + mode})
+    row["sim_cycles"] = int(b["sim_cycles"])
+    row[kind + "_ns_per_cycle"] = round(b["ns_per_cycle"], 2)
+for row in sim_cycle.values():
+    if "observed_ns_per_cycle" in row and "bare_ns_per_cycle" in row:
+        row["accounting_ns_per_cycle"] = round(
+            row["observed_ns_per_cycle"] - row["bare_ns_per_cycle"], 2)
+if sim_cycle:
+    merged["sim_cycle"] = list(sim_cycle.values())
 
 # Execution-backend summary: every simulate*/<backend>/... row pairs
 # an interpreter run with its threaded-code twin; report simulated
