@@ -201,12 +201,14 @@ fi
 # engine's interval domain indexes a flat rows x slots state array by
 # hand, and the assembler slices source text into views and parses
 # literals in place (its equivalence golden replays ~1000 broken
-# sources), so run those suites again under ASan+UBSan explicitly (they
-# are also part of the full runs above; this stage keeps them visible
-# and gating on their own).
-echo "==> test (sanitize: snapshot + fuzz + fault + memory + json + interval + asm suites)"
+# sources), and the threaded backend indexes per-token counters, key
+# owners and register stamps by hand (its interp-vs-threaded and
+# batch-parity suites drive them), so run those suites again under
+# ASan+UBSan explicitly (they are also part of the full runs above;
+# this stage keeps them visible and gating on their own).
+echo "==> test (sanitize: snapshot + fuzz + fault + memory + json + interval + asm + backend suites)"
 ctest --test-dir build-sanitize -j "$JOBS" --output-on-failure \
-    -R 'Service\.|Sweep\.|FaultPlan\.|StateIo|Snapshot|FaultCampaign|DifferentialFuzz|Memory\.|Json\.|ClassIntervals\.|RaceEquivalence\.|Assembler\.|AsmWriter\.|AsmEquivalence\.|cli_xfarm_checkpoint|cli_xfarm_resume|cli_xfarm_faults'
+    -R 'Service\.|Sweep\.|FaultPlan\.|StateIo|Snapshot|FaultCampaign|DifferentialFuzz|Memory\.|Json\.|ClassIntervals\.|RaceEquivalence\.|Assembler\.|AsmWriter\.|AsmEquivalence\.|Backend\.|BackendDifferential|BatchParity|cli_xfarm_checkpoint|cli_xfarm_resume|cli_xfarm_faults'
 
 # Coverage stage: gcov line coverage of the execution layers.
 echo "==> coverage (gcov: src/sim + src/core)"
