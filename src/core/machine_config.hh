@@ -75,7 +75,13 @@ struct MachineConfig
     /** Record a Figure-10-style address trace while running. */
     bool recordTrace = false;
 
-    /** Track the SSET partition each cycle (cheap; on by default). */
+    /**
+     * Track the SSET partition each cycle (on by default). On the
+     * threaded backend this is one stream count per cycle: over
+     * collectStats alone, 0-10 ns per simulated cycle on the XIMD
+     * long-jobs specs (most on the 8-FU multisearch), and nothing on
+     * VLIW, whose one stream is a constant (DESIGN.md section 12).
+     */
     bool trackPartitions = true;
 
     /**
