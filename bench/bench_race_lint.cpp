@@ -9,6 +9,11 @@
  * direct and spill@6). The reproduction table reports each corpus's
  * shape; the raceLint/<corpus> rows report microseconds per program,
  * the number that decides whether the engine can run always-on.
+ *
+ * checkedCompile/livermore compiles the Livermore corpus's IR the way
+ * `xcc --verify --analyze=race` does and reports the verify and
+ * race-check passes' wall time per program (Compiler::stats()): the
+ * cost of checking a program the compiler has just emitted.
  */
 
 #include "bench_util.hh"
@@ -84,10 +89,17 @@ randprogCorpus()
     return progs;
 }
 
-std::vector<Program>
-livermoreCorpus()
+/** One Livermore kernel's IR and the options one compile uses. */
+struct LivermoreCase
 {
-    std::vector<Program> progs;
+    sched::IrProgram ir;
+    sched::PipelineOptions po;
+};
+
+std::vector<LivermoreCase>
+livermoreCases()
+{
+    std::vector<LivermoreCase> cases;
     for (const char *kernel :
          {"livermore1", "livermore2", "livermore3", "livermore12"}) {
         std::ifstream in(std::string(XIMD_SOURCE_DIR) + "/examples/c/" +
@@ -111,9 +123,26 @@ livermoreCorpus()
                     po.alloc.window.count = 6;
                     po.alloc.spill = true;
                 }
-                sched::Compiler cc(po);
-                progs.push_back(orDie(cc.compile(ir.value())).program);
+                cases.push_back({ir.value(), po});
             }
+    }
+    return cases;
+}
+
+const std::vector<LivermoreCase> &
+livermore()
+{
+    static const std::vector<LivermoreCase> cases = livermoreCases();
+    return cases;
+}
+
+std::vector<Program>
+livermoreCorpus()
+{
+    std::vector<Program> progs;
+    for (const LivermoreCase &c : livermore()) {
+        sched::Compiler cc(c.po);
+        progs.push_back(orDie(cc.compile(c.ir)).program);
     }
     return progs;
 }
@@ -158,9 +187,10 @@ printTables()
     }
     std::cout << "shape: every corpus lints clean. Random and compiled "
                  "programs are one lockstep\nclass each, with no product "
-                 "states: the interval domain and the base\nverifier are "
-                 "their cost. Only the grid and goldens explore class "
-                 "pairs.\n";
+                 "states: the base verifier is their cost, plus the\n"
+                 "interval domain for a program whose poll could be an "
+                 "unbounded wait. Only\nthe grid and goldens explore "
+                 "class pairs.\n";
 }
 
 void
@@ -179,12 +209,42 @@ raceLint(benchmark::State &state, int which)
     state.counters["programs"] = static_cast<double>(progs.size());
 }
 
+void
+checkedCompile(benchmark::State &state)
+{
+    const std::vector<LivermoreCase> &cases = livermore();
+    double verifyMs = 0.0;
+    double raceMs = 0.0;
+    for (auto _ : state)
+        for (const LivermoreCase &c : cases) {
+            sched::PipelineOptions po = c.po;
+            po.verify = true;
+            po.analyzeRace = true;
+            sched::Compiler cc(po);
+            benchmark::DoNotOptimize(orDie(cc.compile(c.ir)));
+            for (const sched::PassStat &p : cc.stats()) {
+                if (p.pass == "verify")
+                    verifyMs += p.wallMs;
+                else if (p.pass == "race-check")
+                    raceMs += p.wallMs;
+            }
+        }
+    const double programs =
+        static_cast<double>(state.iterations() * cases.size());
+    state.counters["verify_us"] = verifyMs * 1e3 / programs;
+    state.counters["race_check_us"] = raceMs * 1e3 / programs;
+    state.counters["programs"] = static_cast<double>(cases.size());
+}
+
 BENCHMARK_CAPTURE(raceLint, grid, kGrid)->Unit(benchmark::kMicrosecond);
 BENCHMARK_CAPTURE(raceLint, goldens, kGoldens)
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK_CAPTURE(raceLint, randprog, kRandprog)
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK_CAPTURE(raceLint, livermore, kLivermore)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(checkedCompile)
+    ->Name("checkedCompile/livermore")
     ->Unit(benchmark::kMicrosecond);
 
 } // namespace

@@ -203,12 +203,16 @@ fi
 # literals in place (its equivalence golden replays ~1000 broken
 # sources), and the threaded backend indexes per-token counters, key
 # owners and register stamps by hand (its interp-vs-threaded and
-# batch-parity suites drive them), so run those suites again under
-# ASan+UBSan explicitly (they are also part of the full runs above;
-# this stage keeps them visible and gating on their own).
-echo "==> test (sanitize: snapshot + fuzz + fault + memory + json + interval + asm + backend suites)"
+# batch-parity suites drive them), and the checkers share one
+# ProgramFacts per program that the compile context carries from
+# verify to race-check and drops when a pass replaces the program
+# (the verifier, race-engine and pipeline suites drive it), so run
+# those suites again under ASan+UBSan explicitly (they are also part
+# of the full runs above; this stage keeps them visible and gating on
+# their own).
+echo "==> test (sanitize: snapshot + fuzz + fault + memory + json + interval + asm + backend + verifier + pipeline suites)"
 ctest --test-dir build-sanitize -j "$JOBS" --output-on-failure \
-    -R 'Service\.|Sweep\.|FaultPlan\.|StateIo|Snapshot|FaultCampaign|DifferentialFuzz|Memory\.|Json\.|ClassIntervals\.|RaceEquivalence\.|Assembler\.|AsmWriter\.|AsmEquivalence\.|Backend\.|BackendDifferential|BatchParity|cli_xfarm_checkpoint|cli_xfarm_resume|cli_xfarm_faults'
+    -R 'Service\.|Sweep\.|FaultPlan\.|StateIo|Snapshot|FaultCampaign|DifferentialFuzz|Memory\.|Json\.|ClassIntervals\.|RaceEquivalence\.|Assembler\.|AsmWriter\.|AsmEquivalence\.|Backend\.|BackendDifferential|BatchParity|Cfg\.|Dataflow\.|Lockstep\.|SyncCheck\.|RaceEngine\.|Verify|Pipeline|cli_xfarm_checkpoint|cli_xfarm_resume|cli_xfarm_faults'
 
 # Coverage stage: gcov line coverage of the execution layers.
 echo "==> coverage (gcov: src/sim + src/core)"

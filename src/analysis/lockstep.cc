@@ -18,9 +18,8 @@ lockstepEquivalent(const Program &prog, const ProgramCfg &cfg,
     for (InstAddr r = 0; r < prog.size(); ++r) {
         if (!sa.isReachable(r))
             continue;
-        const Parcel &pa = prog.parcel(r, a);
-        const Parcel &pb = prog.parcel(r, b);
-        if (!(pa.ctrl == pb.ctrl))
+        const InstRow &row = prog.row(r);
+        if (!(row[a].ctrl == row[b].ctrl))
             return false;
     }
     return true;

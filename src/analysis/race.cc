@@ -7,10 +7,7 @@
 #include <set>
 #include <sstream>
 
-#include "analysis/cfg.hh"
 #include "analysis/interval.hh"
-#include "analysis/lockstep.hh"
-#include "analysis/verify.hh"
 #include "support/logging.hh"
 
 namespace ximd::analysis {
@@ -33,7 +30,13 @@ struct Access
     Interval value;  ///< Store value (flag-handshake detection).
 };
 
-/** Everything the engine precomputes about one lockstep class. */
+/**
+ * Everything the engine precomputes about one lockstep class. Only
+ * class pairs read the accesses, reachPlus and futureDone, so a
+ * program with one class leaves them empty, and its intervals and
+ * prunedTrue too unless an unbounded wait is still possible
+ * (mayStrand).
+ */
 struct ClassInfo
 {
     std::vector<FuId> members;
@@ -209,6 +212,21 @@ computeFutureDone(const Program &prog, ClassInfo &info)
     }
 }
 
+/**
+ * Could the intervals prune row @p r's true edge? Only a reachable
+ * `if ccK` row whose cc K belongs to the class (a cross-class cc is
+ * the product's to decide) and whose two targets differ.
+ */
+bool
+prunable(const Program &prog, const ClassInfo &info, InstAddr r)
+{
+    if (!info.cfg->isReachable(r))
+        return false;
+    const ControlOp &c = prog.parcel(r, info.members.front()).ctrl;
+    return c.kind == CondKind::CcTrue && c.t1 != c.t2 &&
+           c.index < info.isMember.size() && info.isMember[c.index];
+}
+
 /** Prove CcTrue edges never taken (own cc, all compares false). */
 void
 computePrunedTrue(const Program &prog, ClassInfo &info)
@@ -217,14 +235,9 @@ computePrunedTrue(const Program &prog, ClassInfo &info)
     const FuId rep = info.members.front();
     info.prunedTrue.assign(rows, 0);
     for (InstAddr r = 0; r < rows; ++r) {
-        if (!info.cfg->isReachable(r))
+        if (!prunable(prog, info, r))
             continue;
-        const ControlOp &c = prog.parcel(r, rep).ctrl;
-        if (c.kind != CondKind::CcTrue || c.t1 == c.t2)
-            continue;
-        const FuId k = c.index;
-        if (k >= info.isMember.size() || !info.isMember[k])
-            continue; // cross-class cc: the product decides.
+        const FuId k = prog.parcel(r, rep).ctrl.index;
         bool allFalse = true;
         for (InstAddr q = 0; q < rows && allFalse; ++q) {
             if (!info.cfg->isReachable(q))
@@ -242,6 +255,69 @@ computePrunedTrue(const Program &prog, ClassInfo &info)
 }
 
 /**
+ * Per row: the class can reach a halt from it. A row marked in
+ * @p cut (when given) loses its true edge.
+ */
+std::vector<char>
+canHalt(const Program &prog, const ClassInfo &info,
+        const std::vector<char> *cut)
+{
+    const InstAddr rows = prog.size();
+    const FuId rep = info.members.front();
+    std::vector<char> can(rows, 0);
+    bool changed = true;
+    while (changed) {
+        changed = false;
+        for (InstAddr r = 0; r < rows; ++r) {
+            if (can[r] || !info.cfg->isReachable(r))
+                continue;
+            const ControlOp &c = prog.parcel(r, rep).ctrl;
+            bool ok = c.isHalt();
+            for (InstAddr s : info.cfg->succs[r]) {
+                if (cut && (*cut)[r] && s == c.t1 && c.t1 != c.t2)
+                    continue;
+                ok = ok || (s < rows && can[s]);
+            }
+            if (ok) {
+                can[r] = 1;
+                changed = true;
+            }
+        }
+    }
+    return can;
+}
+
+/**
+ * Can checkUnboundedWaits report anything, whatever the intervals
+ * prove? It reports a pruned row that reaches a halt in the full
+ * graph but not once the pruned true edges are gone. The intervals
+ * prune at most every prunable row's true edge, and removing edges
+ * only shrinks the set of rows that reach a halt. So a prunable row
+ * that still reaches one with every such edge cut, or that reaches
+ * none in the full graph, is never reported: false hides no finding.
+ */
+bool
+mayStrand(const Program &prog, const ClassInfo &info)
+{
+    std::vector<char> cut(prog.size(), 0);
+    bool any = false;
+    for (InstAddr r = 0; r < prog.size(); ++r) {
+        if (prunable(prog, info, r)) {
+            cut[r] = 1;
+            any = true;
+        }
+    }
+    if (!any)
+        return false;
+    const std::vector<char> canCut = canHalt(prog, info, &cut);
+    const std::vector<char> canFull = canHalt(prog, info, nullptr);
+    for (InstAddr r = 0; r < prog.size(); ++r)
+        if (cut[r] && !canCut[r] && canFull[r])
+            return true;
+    return false;
+}
+
+/**
  * Unbounded busy-waits: a pruned branch that strands the class — it
  * can no longer reach a halt, though the pruned edge would get there.
  */
@@ -251,32 +327,9 @@ checkUnboundedWaits(const Program &prog, const ClassInfo &info,
 {
     const InstAddr rows = prog.size();
     const FuId rep = info.members.front();
-    auto haltClosure = [&](bool pruned) {
-        std::vector<char> can(rows, 0);
-        bool changed = true;
-        while (changed) {
-            changed = false;
-            for (InstAddr r = 0; r < rows; ++r) {
-                if (can[r] || !info.cfg->isReachable(r))
-                    continue;
-                const ControlOp &c = prog.parcel(r, rep).ctrl;
-                bool ok = c.isHalt();
-                for (InstAddr s : info.cfg->succs[r]) {
-                    if (pruned && info.prunedTrue[r] && s == c.t1 &&
-                        c.t1 != c.t2)
-                        continue;
-                    ok = ok || (s < rows && can[s]);
-                }
-                if (ok) {
-                    can[r] = 1;
-                    changed = true;
-                }
-            }
-        }
-        return can;
-    };
-    const std::vector<char> canPruned = haltClosure(true);
-    const std::vector<char> canFull = haltClosure(false);
+    const std::vector<char> canPruned =
+        canHalt(prog, info, &info.prunedTrue);
+    const std::vector<char> canFull = canHalt(prog, info, nullptr);
     for (InstAddr r = 0; r < rows; ++r) {
         if (!info.prunedTrue[r] || !info.cfg->isReachable(r))
             continue;
@@ -796,25 +849,27 @@ classifyOrder(const PairProduct &prod, const ClassInfo &otherSide,
 // ------------------------------------------------------------ driver
 
 RaceReport
-analyzeRaces(const Program &prog, const RaceOptions &opts)
+analyzeRaces(const Program &prog, const ProgramFacts &facts,
+             const RaceOptions &opts)
 {
     RaceReport report;
     if (prog.empty())
         return report;
+    XIMD_ASSERT(facts.cfg.streams.size() == prog.width() &&
+                    facts.cfg.streams.front().succs.size() == prog.size(),
+                "race-engine facts were built from another program");
 
     // The model assumes a structurally valid program (targets in
-    // range, no same-row write conflicts, no self-deadlocks); run the
-    // base verifier first and stand down if it already objects.
-    AnalyzeOptions base;
-    base.warnings = false;
-    if (analyze(prog, base).errorCount() > 0) {
+    // range, no same-row write conflicts, no self-deadlocks); stand
+    // down if the base verifier already objects.
+    if (facts.base.hasErrors()) {
         report.baseErrors = true;
         return report;
     }
 
-    const ProgramCfg cfg = buildCfg(prog);
-    const LockstepClasses part = computeLockstepClasses(prog, cfg);
+    const LockstepClasses &part = facts.classes;
     report.classes = part.count();
+    const bool pairs = part.count() > 1;
 
     std::vector<ClassInfo> classes(part.count());
     for (std::size_t c = 0; c < part.count(); ++c) {
@@ -823,13 +878,18 @@ analyzeRaces(const Program &prog, const RaceOptions &opts)
         ci.isMember.assign(prog.width(), 0);
         for (FuId m : ci.members)
             ci.isMember[m] = 1;
-        ci.cfg = &cfg.streams[ci.members.front()];
+        ci.cfg = &facts.cfg.streams[ci.members.front()];
+        // A lone class can only hold an unbounded wait.
+        if (!pairs && !mayStrand(prog, ci))
+            continue;
         ci.intervals = std::make_unique<ClassIntervalAnalysis>(
             prog, *ci.cfg, ci.members,
-            externallyWrittenRegs(prog, cfg, ci.members));
-        collectAccesses(prog, ci);
-        computeReachPlus(prog, ci);
-        computeFutureDone(prog, ci);
+            externallyWrittenRegs(prog, facts.cfg, ci.members));
+        if (pairs) {
+            collectAccesses(prog, ci);
+            computeReachPlus(prog, ci);
+            computeFutureDone(prog, ci);
+        }
         computePrunedTrue(prog, ci);
         checkUnboundedWaits(prog, ci, report.diags);
     }
@@ -970,6 +1030,12 @@ analyzeRaces(const Program &prog, const RaceOptions &opts)
     report.diags.attachLines(prog);
     report.diags.sort();
     return report;
+}
+
+RaceReport
+analyzeRaces(const Program &prog, const RaceOptions &opts)
+{
+    return analyzeRaces(prog, buildFacts(prog), opts);
 }
 
 } // namespace ximd::analysis

@@ -54,6 +54,7 @@
 #include <vector>
 
 #include "analysis/diagnostics.hh"
+#include "analysis/verify.hh"
 #include "isa/program.hh"
 
 namespace ximd::analysis {
@@ -102,16 +103,25 @@ struct RaceReport
     bool budgetExceeded = false;   ///< stateBudget ran out.
 
     /**
-     * Base verifier found errors; race analysis was skipped (its
-     * model assumes a structurally valid program). diags is empty —
-     * callers should surface analyze()'s findings instead.
+     * The base verifier's findings (ProgramFacts::base) hold errors,
+     * so race analysis was skipped: its model assumes a structurally
+     * valid program. diags is empty; a caller that must reject the
+     * program reports those base errors (analyze(facts)) instead.
      */
     bool baseErrors = false;
 
     bool clean() const { return !baseErrors && diags.empty(); }
 };
 
-/** Run the cross-stream race engine over @p prog. */
+/**
+ * Run the cross-stream race engine over @p prog. @p facts must come
+ * from buildFacts(@p prog); the engine reads its base verdict, CFGs
+ * and lockstep classes instead of recomputing them.
+ */
+RaceReport analyzeRaces(const Program &prog, const ProgramFacts &facts,
+                        const RaceOptions &opts = {});
+
+/** analyzeRaces(@p prog, buildFacts(@p prog), @p opts). */
 RaceReport analyzeRaces(const Program &prog,
                         const RaceOptions &opts = {});
 

@@ -1,16 +1,18 @@
 #include "analysis/verify.hh"
 
-#include "analysis/cfg.hh"
+#include <utility>
+
 #include "analysis/dataflow.hh"
 #include "analysis/sync_check.hh"
 #include "support/logging.hh"
 
 namespace ximd::analysis {
 
-DiagnosticList
-analyze(const Program &prog, const AnalyzeOptions &opts)
+ProgramFacts
+buildFacts(const Program &prog)
 {
-    DiagnosticList diags;
+    ProgramFacts facts;
+    DiagnosticList &diags = facts.base;
 
     // Structural pass: a data op the ISA rejects would fault every
     // later consumer; report it and keep going.
@@ -25,34 +27,55 @@ analyze(const Program &prog, const AnalyzeOptions &opts)
         }
     }
 
-    const ProgramCfg cfg = buildCfg(prog);
-    checkCfg(prog, cfg, diags);
+    facts.cfg = buildCfg(prog);
+    checkCfg(prog, facts.cfg, diags);
 
-    const DataflowResult df = runDataflow(prog, cfg);
-    checkDataflow(prog, cfg, df, diags);
+    const DataflowResult df = runDataflow(prog, facts.cfg);
+    checkDataflow(prog, facts.cfg, df, diags);
 
-    checkSync(prog, cfg, diags);
+    checkSync(prog, facts.cfg, diags);
 
-    if (!opts.warnings) {
-        DiagnosticList errorsOnly;
-        for (const Diagnostic &d : diags.all())
-            if (d.isError())
-                errorsOnly.error(d.check, d.row, d.fu, d.message);
-        diags = std::move(errorsOnly);
-    }
+    facts.classes = computeLockstepClasses(prog, facts.cfg);
     diags.sort();
-    return diags;
+    return facts;
+}
+
+DiagnosticList
+analyze(const ProgramFacts &facts, const AnalyzeOptions &opts)
+{
+    if (opts.warnings)
+        return facts.base;
+    DiagnosticList errorsOnly;
+    for (const Diagnostic &d : facts.base.all())
+        if (d.isError())
+            errorsOnly.add(d);
+    return errorsOnly;
+}
+
+DiagnosticList
+analyze(const Program &prog, const AnalyzeOptions &opts)
+{
+    ProgramFacts facts = buildFacts(prog);
+    if (opts.warnings)
+        return std::move(facts.base);
+    return analyze(facts, opts);
+}
+
+void
+verify(const Program &prog, const ProgramFacts &facts)
+{
+    AnalyzeOptions opts;
+    opts.warnings = false;
+    const DiagnosticList diags = analyze(facts, opts);
+    if (diags.hasErrors())
+        fatal("program verification failed (", diags.summary(),
+              "):\n", diags.formatted(&prog));
 }
 
 void
 verify(const Program &prog)
 {
-    AnalyzeOptions opts;
-    opts.warnings = false;
-    const DiagnosticList diags = analyze(prog, opts);
-    if (diags.hasErrors())
-        fatal("program verification failed (", diags.summary(),
-              "):\n", diags.formatted(&prog));
+    verify(prog, buildFacts(prog));
 }
 
 void

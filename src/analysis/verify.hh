@@ -14,12 +14,20 @@
  *                    unreachable-parcel detection;
  *   3. dataflow    — must-defined registers/CCs, liveness;
  *   4. sync_check  — cross-stream conflicts and deadlocks.
+ *
+ * buildFacts() runs them once and keeps what more than one checker
+ * reads in a ProgramFacts: the CFGs, the lockstep classes and the
+ * findings. analyze(), verify() and the race engine (race.hh) each
+ * take the facts, so a caller that runs several of them analyzes
+ * the program once.
  */
 
 #ifndef XIMD_ANALYSIS_VERIFY_HH
 #define XIMD_ANALYSIS_VERIFY_HH
 
+#include "analysis/cfg.hh"
 #include "analysis/diagnostics.hh"
+#include "analysis/lockstep.hh"
 #include "isa/program.hh"
 
 namespace ximd::analysis {
@@ -31,14 +39,37 @@ struct AnalyzeOptions
     bool warnings = true;
 };
 
-/** Run every pass over @p prog; findings come back sorted. */
+/**
+ * What the checkers share about one program. It owns its data and
+ * points into no Program, so it may outlive or move away from the
+ * Program it was built from; it describes that Program only.
+ */
+struct ProgramFacts
+{
+    ProgramCfg cfg;          ///< Per-FU control-flow graphs.
+    LockstepClasses classes; ///< Lockstep partition of the FUs.
+    DiagnosticList base;     ///< Every pass's findings, sorted.
+};
+
+/** Run every pass over @p prog once and keep the shared facts. */
+ProgramFacts buildFacts(const Program &prog);
+
+/** The findings in @p facts that @p opts asks for, sorted. */
+DiagnosticList analyze(const ProgramFacts &facts,
+                       const AnalyzeOptions &opts = {});
+
+/** The same findings as analyze(buildFacts(@p prog), @p opts). */
 DiagnosticList analyze(const Program &prog,
                        const AnalyzeOptions &opts = {});
 
 /**
- * Throw FatalError (message = every error finding) when @p prog has
- * error-severity findings; warnings are ignored.
+ * Throw FatalError (message = every error finding) when @p facts,
+ * built from @p prog, hold error-severity findings; warnings are
+ * ignored.
  */
+void verify(const Program &prog, const ProgramFacts &facts);
+
+/** verify(@p prog, buildFacts(@p prog)). */
 void verify(const Program &prog);
 
 /**

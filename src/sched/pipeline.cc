@@ -212,8 +212,7 @@ class CodegenPass : public Pass
         if (!code)
             return code.error();
         cx.code = std::move(code).value();
-        cx.program = cx.code.program;
-        cx.hasProgram = true;
+        cx.setProgram(cx.code.program);
         stat.counters["rows"] =
             static_cast<double>(cx.program.size());
         stat.counters["raw_latency"] = cx.opts.rawLatency;
@@ -233,8 +232,7 @@ class ModuloPass : public Pass
                                         &cx.pipeInfo);
         if (!prog)
             return prog.error();
-        cx.program = std::move(prog).value();
-        cx.hasProgram = true;
+        cx.setProgram(std::move(prog).value());
         stat.counters["ii"] = 1;
         stat.counters["depth"] = cx.pipeInfo.depth;
         stat.counters["expansion"] = cx.pipeInfo.expansion;
@@ -329,8 +327,7 @@ class ComposePass : public Pass
         if (!comp)
             return comp.error();
         cx.composed = std::move(comp).value();
-        cx.program = cx.composed.program;
-        cx.hasProgram = true;
+        cx.setProgram(cx.composed.program);
         stat.counters["rows"] =
             static_cast<double>(cx.program.size());
         stat.counters["threads"] =
@@ -342,6 +339,15 @@ class ComposePass : public Pass
     ComposeOptions opts_;
 };
 
+/** cx.program's facts, built on first use. */
+const analysis::ProgramFacts &
+programFacts(CompileContext &cx)
+{
+    if (!cx.facts)
+        cx.facts = analysis::buildFacts(cx.program);
+    return *cx.facts;
+}
+
 class VerifyPass : public Pass
 {
   public:
@@ -352,7 +358,7 @@ class VerifyPass : public Pass
     {
         if (!cx.hasProgram)
             return compileError("verify", "no program to verify");
-        const auto diags = analysis::analyze(cx.program);
+        const analysis::DiagnosticList &diags = programFacts(cx).base;
         stat.counters["errors"] =
             static_cast<double>(diags.errorCount());
         stat.counters["warnings"] =
@@ -377,8 +383,9 @@ class RaceCheckPass : public Pass
         if (!cx.hasProgram)
             return compileError("race-check",
                                 "no program to analyze");
+        const analysis::ProgramFacts &facts = programFacts(cx);
         const analysis::RaceReport report =
-            analysis::analyzeRaces(cx.program);
+            analysis::analyzeRaces(cx.program, facts);
         stat.counters["classes"] =
             static_cast<double>(report.classes);
         stat.counters["pairs"] =
@@ -389,6 +396,15 @@ class RaceCheckPass : public Pass
             static_cast<double>(report.diags.errorCount());
         stat.counters["covered"] =
             static_cast<double>(report.covered.size());
+        if (report.baseErrors) {
+            analysis::AnalyzeOptions errorsOnly;
+            errorsOnly.warnings = false;
+            return compileError(
+                "race-check",
+                cat("emitted program fails static verification:\n",
+                    analysis::analyze(facts, errorsOnly)
+                        .formatted(&cx.program)));
+        }
         if (report.diags.hasErrors())
             return compileError(
                 "race-check",
@@ -411,16 +427,20 @@ checkInvariants(const std::string &pass, CompileContext &cx)
             return e;
         }
     if (cx.hasProgram) {
+        // Fresh facts for both checks, not cx.facts: the check must
+        // not trust a cache that a pass could have left stale.
+        std::optional<analysis::ProgramFacts> facts;
         try {
             cx.program.validate();
-            analysis::verify(cx.program);
+            facts = analysis::buildFacts(cx.program);
+            analysis::verify(cx.program, *facts);
         } catch (const FatalError &e) {
             return compileError(
                 "verify", cat("after pass '", pass, "': ", e.what()));
         }
         if (cx.opts.analyzeRace) {
             const analysis::RaceReport report =
-                analysis::analyzeRaces(cx.program);
+                analysis::analyzeRaces(cx.program, *facts);
             if (report.diags.hasErrors())
                 return compileError(
                     "race-check",

@@ -40,9 +40,11 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "analysis/verify.hh"
 #include "sched/codegen.hh"
 #include "sched/compose.hh"
 #include "sched/ddg.hh"
@@ -158,6 +160,22 @@ struct CompileContext
     /** The final program (whichever path produced it). */
     Program program{1};
     bool hasProgram = false;
+
+    /**
+     * The checkers' shared facts about `program`, built by the first
+     * of verify / race-check and read by the other. They own their
+     * data, so reassigning the context is safe; setProgram drops them.
+     */
+    std::optional<analysis::ProgramFacts> facts;
+
+    /** Replace the program; the old program's facts go with it. */
+    void
+    setProgram(Program p)
+    {
+        program = std::move(p);
+        hasProgram = true;
+        facts.reset();
+    }
 
     std::vector<PassStat> stats;
 

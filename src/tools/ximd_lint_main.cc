@@ -131,15 +131,16 @@ lintFile(const std::string &path, const Options &o,
         return FileStatus::Findings;
     }
 
+    const analysis::ProgramFacts facts = analysis::buildFacts(prog);
     analysis::AnalyzeOptions opts;
     opts.warnings = !o.noWarn;
-    analysis::DiagnosticList diags = analysis::analyze(prog, opts);
+    analysis::DiagnosticList diags = analysis::analyze(facts, opts);
 
     analysis::RaceReport race;
     if (o.race) {
         analysis::RaceOptions ropts;
         ropts.warnings = !o.noWarn;
-        race = analysis::analyzeRaces(prog, ropts);
+        race = analysis::analyzeRaces(prog, facts, ropts);
         diags.merge(race.diags);
     }
 

@@ -73,6 +73,43 @@ TEST(RaceEngine, UnboundedWaitExampleFlagged)
     EXPECT_TRUE(hasCheck(r, Check::UnboundedWait));
 }
 
+TEST(RaceEngine, OneClassUnboundedWaitFlagged)
+{
+    // The one-FU unbounded_wait.ximd. One class has no pair, so only
+    // the unbounded-wait check can report, and the poll's exit is its
+    // only way to a halt: the intervals must still run to prove the
+    // compare constant.
+    const Program prog = assembleString(".fus 1\n"
+                                        ".reg a 0\n"
+                                        "L00: -> L01 ; mov #3,a\n"
+                                        "L01: -> L02 ; eq a,#5\n"
+                                        "L02: if cc0 L03 L02 ; nop\n"
+                                        "L03: halt\n");
+    const RaceReport r = analyzeRaces(prog);
+    EXPECT_EQ(r.classes, 1u);
+    ASSERT_EQ(r.diags.size(), 1u) << r.diags.formatted();
+    EXPECT_EQ(r.diags.all().front().check, Check::UnboundedWait);
+    EXPECT_EQ(r.diags.all().front().row, 2u);
+}
+
+TEST(RaceEngine, OneClassCounterLoopIsClean)
+{
+    // The shape codegen emits for the Livermore loops: the true edge
+    // enters the body, and the false edge leaves the loop. Even with
+    // the true edge cut the branch reaches a halt, so no interval
+    // answer could make this an unbounded wait.
+    const Program prog = assembleString(".fus 1\n"
+                                        ".reg i 0\n"
+                                        "L00: -> L01 ; lt i,#4\n"
+                                        "L01: if cc0 L02 L04 ; nop\n"
+                                        "L02: -> L03 ; iadd i,#1,i\n"
+                                        "L03: -> L00 ; nop\n"
+                                        "L04: halt\n");
+    const RaceReport r = analyzeRaces(prog);
+    EXPECT_EQ(r.classes, 1u);
+    EXPECT_TRUE(r.clean()) << r.diags.formatted();
+}
+
 TEST(RaceEngine, DiagnosticsCarryBothSitesAndLines)
 {
     const RaceReport r = analyzeRaces(example("race_mem.ximd"));

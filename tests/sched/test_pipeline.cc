@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "asm/asm_writer.hh"
+#include "asm/assembler.hh"
 #include "sched/compose.hh"
 #include "sched/ir_print.hh"
 #include "sched/pipeline.hh"
@@ -115,6 +116,70 @@ TEST(Pipeline, VerifyBetweenAcceptsAHealthyCompile)
     Compiler cc(po);
     auto r = cc.compile(reduceIr());
     EXPECT_TRUE(r.hasValue()) << r.error().format();
+}
+
+TEST(Pipeline, RaceCheckRejectsWhatTheBaseVerifierRejects)
+{
+    // Both FUs write r5 in one row. The race engine stands down on a
+    // program the base verifier rejects; race-check without a verify
+    // pass before it must still fail, with the base verifier's error.
+    CompileContext cx;
+    cx.program = assembleString(".fus 2\n"
+                                "L0: -> L1 ; mov #1,r5 || -> L1 ; mov #2,r5\n"
+                                "L1: halt || halt\n");
+    cx.hasProgram = true;
+    PassStat stat;
+    const CompileResult<Ok> r = makeRaceCheckPass()->run(cx, stat);
+    ASSERT_FALSE(r.hasValue());
+    EXPECT_EQ(r.error().pass, "race-check");
+    EXPECT_NE(r.error().message.find("reg-write-conflict"),
+              std::string::npos)
+        << r.error().message;
+}
+
+TEST(Pipeline, VerifyLeavesItsFactsForRaceCheck)
+{
+    PipelineOptions po;
+    po.verify = true;
+    po.analyzeRace = true;
+    Compiler cc(po);
+    ASSERT_TRUE(cc.compile(reduceIr()).hasValue());
+    EXPECT_EQ(passSequence(cc).back(), "race-check");
+    const CompileContext &cx = cc.context();
+    ASSERT_TRUE(cx.facts.has_value());
+    EXPECT_EQ(cx.facts->cfg.streams.size(), cx.program.width());
+    EXPECT_EQ(cx.facts->classes.count(),
+              cc.stats().back().counters.at("classes"));
+}
+
+TEST(Pipeline, ReplacingTheProgramDropsItsFacts)
+{
+    CompileContext cx;
+    cx.setProgram(assembleString(".fus 1\nL0: halt\n"));
+    cx.facts = analysis::buildFacts(cx.program);
+    cx.setProgram(assembleString(".fus 2\nL0: halt || halt\n"));
+    EXPECT_TRUE(cx.hasProgram);
+    EXPECT_FALSE(cx.facts.has_value());
+}
+
+TEST(Pipeline, CheckedComposeUnderVerifyBetween)
+{
+    // A composed program has one lockstep class per thread group, so
+    // race-check explores class pairs; every pass boundary builds
+    // fresh facts for both checks.
+    PipelineOptions po;
+    po.width = 8;
+    po.verify = true;
+    po.analyzeRace = true;
+    po.verifyBetween = true;
+    Compiler cc(po);
+    auto r = cc.compose(workloads::reductionThreadSet(6, 42),
+                        "balanced-groups");
+    ASSERT_TRUE(r.hasValue()) << r.error().format();
+    EXPECT_EQ(passSequence(cc),
+              (std::vector<std::string>{"tile", "pack", "compose",
+                                        "verify", "race-check"}));
+    EXPECT_GT(cc.stats().back().counters.at("classes"), 1);
 }
 
 TEST(Pipeline, BadIrFailsStructurallyNotByThrow)
