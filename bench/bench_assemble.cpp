@@ -22,23 +22,15 @@
 
 #include <algorithm>
 #include <chrono>
-#include <fstream>
 #include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "asm/asm_writer.hh"
 #include "asm/assembler.hh"
 #include "farm/suite.hh"
-#include "frontend/frontend.hh"
-#include "sched/pipeline.hh"
+#include "livermore_corpus.hh"
 #include "workloads/minmax.hh"
-#include "workloads/randprog.hh"
-
-#ifndef XIMD_SOURCE_DIR
-#error "XIMD_SOURCE_DIR must point at the repo root"
-#endif
 
 namespace {
 
@@ -60,53 +52,6 @@ suitePrograms()
     for (const farm::RunSpec &spec : farm::builtinSuite(o))
         if (spec.program && seen.insert(spec.program.get()).second)
             progs.push_back(spec.program->program());
-    return progs;
-}
-
-std::vector<Program>
-livermorePrograms()
-{
-    std::vector<Program> progs;
-    for (const char *kernel :
-         {"livermore1", "livermore2", "livermore3", "livermore12"}) {
-        std::ifstream in(std::string(XIMD_SOURCE_DIR) + "/examples/c/" +
-                         kernel + ".c");
-        std::ostringstream text;
-        text << in.rdbuf();
-        auto ir = frontend::compileC(text.str());
-        if (!ir.hasValue()) {
-            std::cerr << kernel << ": " << ir.error().format() << "\n";
-            std::exit(1);
-        }
-        for (bool exact : {false, true})
-            for (bool spill : {false, true}) {
-                sched::PipelineOptions po;
-                if (exact) {
-                    po.schedule = sched::ScheduleTier::Exact;
-                    po.exact.budgetMs = 0;
-                    po.exact.maxNodes = 200'000;
-                }
-                if (spill) {
-                    po.alloc.window.count = 6;
-                    po.alloc.spill = true;
-                }
-                sched::Compiler cc(po);
-                progs.push_back(orDie(cc.compile(ir.value())).program);
-            }
-    }
-    for (unsigned i = 0; i < 16; ++i) {
-        workloads::RandLoopOptions lo;
-        lo.seed = 7 * 1000 + i;
-        lo.bodyOps = 8;
-        lo.tripCount = 6;
-        sched::PipelineOptions po;
-        po.schedule = sched::ScheduleTier::Exact;
-        po.exact.budgetMs = 0;
-        po.exact.maxNodes = 200'000;
-        sched::Compiler cc(po);
-        progs.push_back(
-            orDie(cc.compile(workloads::randomLoopIr(lo))).program);
-    }
     return progs;
 }
 

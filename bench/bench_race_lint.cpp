@@ -8,7 +8,9 @@
  * as the livermore-c benchmark compiles them (list and exact tiers,
  * direct and spill@6). The reproduction table reports each corpus's
  * shape; the raceLint/<corpus> rows report microseconds per program,
- * the number that decides whether the engine can run always-on.
+ * the number that decides whether the engine can run always-on. The
+ * facts/<corpus> rows time analysis::buildFacts alone, the base
+ * verifier that `xcc --verify` and `xsim --verify` run.
  *
  * checkedCompile/livermore compiles the Livermore corpus's IR the way
  * `xcc --verify --analyze=race` does and reports the verify and
@@ -21,21 +23,16 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "analysis/race.hh"
+#include "analysis/verify.hh"
 #include "asm/assembler.hh"
 #include "farm/suite.hh"
-#include "frontend/frontend.hh"
+#include "livermore_corpus.hh"
 #include "sched/pipeline.hh"
 #include "workloads/randprog.hh"
-
-#ifndef XIMD_SOURCE_DIR
-#error "XIMD_SOURCE_DIR must point at the repo root"
-#endif
 
 namespace {
 
@@ -89,69 +86,19 @@ randprogCorpus()
     return progs;
 }
 
-/** One Livermore kernel's IR and the options one compile uses. */
-struct LivermoreCase
-{
-    sched::IrProgram ir;
-    sched::PipelineOptions po;
-};
-
-std::vector<LivermoreCase>
-livermoreCases()
-{
-    std::vector<LivermoreCase> cases;
-    for (const char *kernel :
-         {"livermore1", "livermore2", "livermore3", "livermore12"}) {
-        std::ifstream in(std::string(XIMD_SOURCE_DIR) + "/examples/c/" +
-                         kernel + ".c");
-        std::ostringstream text;
-        text << in.rdbuf();
-        auto ir = frontend::compileC(text.str());
-        if (!ir.hasValue()) {
-            std::cerr << kernel << ": " << ir.error().format() << "\n";
-            std::exit(1);
-        }
-        for (bool exact : {false, true})
-            for (bool spill : {false, true}) {
-                sched::PipelineOptions po;
-                if (exact) {
-                    po.schedule = sched::ScheduleTier::Exact;
-                    po.exact.budgetMs = 0;
-                    po.exact.maxNodes = 200'000;
-                }
-                if (spill) {
-                    po.alloc.window.count = 6;
-                    po.alloc.spill = true;
-                }
-                cases.push_back({ir.value(), po});
-            }
-    }
-    return cases;
-}
-
 const std::vector<LivermoreCase> &
 livermore()
 {
-    static const std::vector<LivermoreCase> cases = livermoreCases();
+    static const std::vector<LivermoreCase> cases = livermoreCases(0);
     return cases;
-}
-
-std::vector<Program>
-livermoreCorpus()
-{
-    std::vector<Program> progs;
-    for (const LivermoreCase &c : livermore()) {
-        sched::Compiler cc(c.po);
-        progs.push_back(orDie(cc.compile(c.ir)).program);
-    }
-    return progs;
 }
 
 const std::vector<Program> &
 corpus(int which)
 {
     static const std::vector<Program> corpora[kCorpora] = {
-        gridCorpus(), goldenCorpus(), randprogCorpus(), livermoreCorpus()};
+        gridCorpus(), goldenCorpus(), randprogCorpus(),
+        livermorePrograms(0)};
     return corpora[which];
 }
 
@@ -193,20 +140,35 @@ printTables()
                  "class pairs.\n";
 }
 
+/** Time @p analyze over every program of corpus @p which. */
+template <typename Analyze>
 void
-raceLint(benchmark::State &state, int which)
+perProgram(benchmark::State &state, int which, Analyze analyze)
 {
     const std::vector<Program> &progs = corpus(which);
     const auto t0 = std::chrono::steady_clock::now();
     for (auto _ : state)
         for (const Program &p : progs)
-            benchmark::DoNotOptimize(analysis::analyzeRaces(p));
+            benchmark::DoNotOptimize(analyze(p));
     const std::chrono::duration<double, std::micro> elapsed =
         std::chrono::steady_clock::now() - t0;
     state.counters["us_per_program"] =
         elapsed.count() / static_cast<double>(state.iterations() *
                                               progs.size());
     state.counters["programs"] = static_cast<double>(progs.size());
+}
+
+void
+raceLint(benchmark::State &state, int which)
+{
+    perProgram(state, which,
+               [](const Program &p) { return analysis::analyzeRaces(p); });
+}
+
+void
+facts(benchmark::State &state, int which)
+{
+    perProgram(state, which, analysis::buildFacts);
 }
 
 void
@@ -242,6 +204,12 @@ BENCHMARK_CAPTURE(raceLint, goldens, kGoldens)
 BENCHMARK_CAPTURE(raceLint, randprog, kRandprog)
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK_CAPTURE(raceLint, livermore, kLivermore)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(facts, grid, kGrid)->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(facts, goldens, kGoldens)->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(facts, randprog, kRandprog)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(facts, livermore, kLivermore)
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK(checkedCompile)
     ->Name("checkedCompile/livermore")

@@ -22,6 +22,8 @@
 #ifndef XIMD_ANALYSIS_CFG_HH
 #define XIMD_ANALYSIS_CFG_HH
 
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "analysis/diagnostics.hh"
@@ -29,22 +31,61 @@
 
 namespace ximd::analysis {
 
-/** Control-flow graph of one FU's instruction stream. */
-struct StreamCfg
-{
-    FuId fu = 0;
-    /** Per row: successor rows (0, 1 or 2 entries, deduplicated). */
-    std::vector<std::vector<InstAddr>> succs;
-    /** Per row: predecessor rows. */
-    std::vector<std::vector<InstAddr>> preds;
-    /** Per row: reachable from row 0 along this column. */
-    std::vector<char> reachable;
+struct ProgramCfg;
 
+/**
+ * Control-flow graph of one FU's instruction stream, stored flat:
+ * two successor slots per row and the predecessors in one CSR array.
+ * Columns whose control is identical at every row share one graph,
+ * so copies are cheap and compare equal under sameGraph().
+ */
+class StreamCfg
+{
+  public:
+    /** Number of rows (the program's size). */
+    InstAddr rows() const { return g_->rows; }
+
+    /** Successor rows of @p r (0, 1 or 2 entries, deduplicated). */
+    std::span<const InstAddr>
+    succs(InstAddr r) const
+    {
+        const InstAddr *s = g_->succ.data() + 2 * std::size_t(r);
+        return {s, std::size_t(s[0] != kNoRow) + (s[1] != kNoRow)};
+    }
+
+    /** Predecessor rows of @p r, in ascending order. */
+    std::span<const InstAddr>
+    preds(InstAddr r) const
+    {
+        const InstAddr begin = g_->predStart[r];
+        return {g_->pred.data() + begin, g_->predStart[r + 1] - begin};
+    }
+
+    /** Reachable from row 0 along this column. */
     bool
     isReachable(InstAddr row) const
     {
-        return row < reachable.size() && reachable[row];
+        return row < g_->rows && g_->reachable[row];
     }
+
+    /** True when @p other is the same shared graph. */
+    bool sameGraph(const StreamCfg &other) const { return g_ == other.g_; }
+
+  private:
+    friend ProgramCfg buildCfg(const Program &prog);
+
+    static constexpr InstAddr kNoRow = ~InstAddr{0};
+
+    struct Graph
+    {
+        InstAddr rows = 0;
+        std::vector<InstAddr> succ;      ///< 2 per row, kNoRow-padded.
+        std::vector<InstAddr> predStart; ///< rows + 1 offsets into pred.
+        std::vector<InstAddr> pred;
+        std::vector<char> reachable;
+    };
+
+    std::shared_ptr<const Graph> g_;
 };
 
 /** CFGs for every FU of a program. */
@@ -60,7 +101,11 @@ struct ProgramCfg
     }
 };
 
-/** Build every column's CFG. Tolerates out-of-range branch targets. */
+/**
+ * Build every column's CFG; a column whose control equals an earlier
+ * column's at every row gets that column's graph. Tolerates
+ * out-of-range branch targets.
+ */
 ProgramCfg buildCfg(const Program &prog);
 
 /**

@@ -1,7 +1,5 @@
 #include "analysis/dataflow.hh"
 
-#include <set>
-
 #include "support/logging.hh"
 
 namespace ximd::analysis {
@@ -69,12 +67,13 @@ runDataflow(const Program &prog, const ProgramCfg &cfg)
     // Registers with a symbolic name are observable outputs (read by
     // tools and tests after the run); treat them as used.
     RegSet named;
-    for (RegId r = 0; r < kNumRegisters; ++r)
-        if (prog.regName(r))
-            named.set(r);
+    for (const auto &[r, name] : prog.regNames())
+        named.set(r);
 
     // Pass 2: per-column must-defined (forward, intersection) and
-    // liveness (backward, union).
+    // liveness (backward, union). The out-sets are per-column scratch.
+    std::vector<RegSet> regOut;
+    std::vector<CcSet> ccOut;
     for (FuId fu = 0; fu < width; ++fu) {
         const StreamCfg &s = cfg.streams[fu];
         StreamDataflow &sd = df.streams[fu];
@@ -105,8 +104,8 @@ runDataflow(const Program &prog, const ProgramCfg &cfg)
         // pin its header at the wrong (least) fixpoint.
         const RegSet fullRegs = ~RegSet{};
         const CcSet fullCcs = ~CcSet{};
-        std::vector<RegSet> regOut(n, fullRegs);
-        std::vector<CcSet> ccOut(n, fullCcs);
+        regOut.assign(n, fullRegs);
+        ccOut.assign(n, fullCcs);
         for (InstAddr r = 0; r < n; ++r) {
             sd.regIn[r] = fullRegs;
             sd.ccIn[r] = fullCcs;
@@ -133,7 +132,7 @@ runDataflow(const Program &prog, const ProgramCfg &cfg)
                 if (r != 0) {
                     RegSet regIn = fullRegs;
                     CcSet ccIn = fullCcs;
-                    for (InstAddr p : s.preds[r]) {
+                    for (InstAddr p : s.preds(r)) {
                         if (!s.isReachable(p))
                             continue;
                         regIn &= regOut[p];
@@ -172,7 +171,7 @@ runDataflow(const Program &prog, const ProgramCfg &cfg)
                 if (!s.isReachable(rr))
                     continue;
                 RegSet liveOut = alwaysLive;
-                for (InstAddr t : s.succs[rr])
+                for (InstAddr t : s.succs(rr))
                     liveOut |= sd.liveIn[t];
                 const DataOp &d = prog.parcel(rr, fu).data;
                 RegSet use, def;
@@ -203,8 +202,8 @@ checkDataflow(const Program &prog, const ProgramCfg &cfg,
     const InstAddr n = prog.size();
     const FuId width = prog.width();
 
-    std::set<RegId> reportedNeverRead;
-    std::set<RegId> reportedUninit;
+    RegSet reportedNeverRead;
+    RegSet reportedUninit;
 
     for (InstAddr r = 0; r < n; ++r) {
         for (FuId fu = 0; fu < width; ++fu) {
@@ -219,10 +218,9 @@ checkDataflow(const Program &prog, const ProgramCfg &cfg,
             srcRegs(p.data, srcs, nsrcs);
             for (unsigned i = 0; i < nsrcs; ++i) {
                 const RegId reg = srcs[i];
-                if (sd.regIn[r][reg])
+                if (sd.regIn[r][reg] || reportedUninit[reg])
                     continue;
-                if (!reportedUninit.insert(reg).second)
-                    continue;
+                reportedUninit.set(reg);
                 // Registers power up as zero, so a maybe-uninit
                 // read computes a deterministic (if dubious) value:
                 // error only when no instruction anywhere produces
@@ -294,9 +292,10 @@ checkDataflow(const Program &prog, const ProgramCfg &cfg,
             // Writes nobody can observe.
             if (p.data.hasDest()) {
                 const RegId reg = p.data.dest;
-                const bool named = prog.regName(reg).has_value();
+                const bool named = prog.regNames().count(reg) != 0;
                 if (!df.everRead[reg] && !named) {
-                    if (reportedNeverRead.insert(reg).second)
+                    if (!reportedNeverRead[reg]) {
+                        reportedNeverRead.set(reg);
                         diags.warning(
                             Check::WriteNeverRead, r,
                             static_cast<int>(fu),
@@ -304,6 +303,7 @@ checkDataflow(const Program &prog, const ProgramCfg &cfg,
                                 " which is never read by any FU "
                                 "and has no symbolic name; the "
                                 "result is unobservable"));
+                    }
                 } else if (!sd.liveOut[r][reg]) {
                     diags.warning(
                         Check::DeadWrite, r, static_cast<int>(fu),

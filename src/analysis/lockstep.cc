@@ -15,6 +15,8 @@ lockstepEquivalent(const Program &prog, const ProgramCfg &cfg,
                    FuId a, FuId b)
 {
     const StreamCfg &sa = cfg.streams[a];
+    if (sa.sameGraph(cfg.streams[b]))
+        return true; // identical control at every row
     for (InstAddr r = 0; r < prog.size(); ++r) {
         if (!sa.isReachable(r))
             continue;

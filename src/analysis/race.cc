@@ -165,15 +165,15 @@ computeReachPlus(const Program &prog, ClassInfo &info)
         if (!info.cfg->isReachable(from))
             continue;
         std::vector<char> &seen = info.reachPlus[from];
-        std::deque<InstAddr> work(info.cfg->succs[from].begin(),
-                                  info.cfg->succs[from].end());
+        const auto first = info.cfg->succs(from);
+        std::deque<InstAddr> work(first.begin(), first.end());
         while (!work.empty()) {
             const InstAddr r = work.front();
             work.pop_front();
             if (r >= rows || seen[r])
                 continue;
             seen[r] = 1;
-            for (InstAddr s : info.cfg->succs[r])
+            for (InstAddr s : info.cfg->succs(r))
                 work.push_back(s);
         }
     }
@@ -202,7 +202,7 @@ computeFutureDone(const Program &prog, ClassInfo &info)
         while (!work.empty()) {
             const InstAddr r = work.front();
             work.pop_front();
-            for (InstAddr pr : info.cfg->preds[r]) {
+            for (InstAddr pr : info.cfg->preds(r)) {
                 if (!fd[pr] && info.cfg->isReachable(pr)) {
                     fd[pr] = 1;
                     work.push_back(pr);
@@ -273,7 +273,7 @@ canHalt(const Program &prog, const ClassInfo &info,
                 continue;
             const ControlOp &c = prog.parcel(r, rep).ctrl;
             bool ok = c.isHalt();
-            for (InstAddr s : info.cfg->succs[r]) {
+            for (InstAddr s : info.cfg->succs(r)) {
                 if (cut && (*cut)[r] && s == c.t1 && c.t1 != c.t2)
                     continue;
                 ok = ok || (s < rows && can[s]);
@@ -377,10 +377,11 @@ findFlagGuards(const Program &prog,
     for (InstAddr p = 0; p + 2 < rows; ++p) {
         if (!poller.cfg->isReachable(p))
             continue;
-        if (poller.cfg->succs[p] !=
-                std::vector<InstAddr>{static_cast<InstAddr>(p + 1)} ||
-            poller.cfg->succs[p + 1] !=
-                std::vector<InstAddr>{static_cast<InstAddr>(p + 2)})
+        const auto only = [&](InstAddr r, InstAddr next) {
+            const auto s = poller.cfg->succs(r);
+            return s.size() == 1 && s[0] == next;
+        };
+        if (!only(p, p + 1) || !only(p + 1, p + 2))
             continue;
         for (FuId f : poller.members) {
             const DataOp &ld = prog.parcel(p, f).data;
@@ -856,7 +857,7 @@ analyzeRaces(const Program &prog, const ProgramFacts &facts,
     if (prog.empty())
         return report;
     XIMD_ASSERT(facts.cfg.streams.size() == prog.width() &&
-                    facts.cfg.streams.front().succs.size() == prog.size(),
+                    facts.cfg.streams.front().rows() == prog.size(),
                 "race-engine facts were built from another program");
 
     // The model assumes a structurally valid program (targets in

@@ -189,7 +189,7 @@ checkSync(const Program &prog, const ProgramCfg &cfg,
             work.pop_back();
             if (blocked[r])
                 continue; // May enter a spin, never assume release.
-            for (InstAddr t : cfg.streams[fu].succs[r])
+            for (InstAddr t : cfg.streams[fu].succs(r))
                 if (!seen[t]) {
                     seen[t] = 1;
                     work.push_back(t);
@@ -285,16 +285,25 @@ checkSync(const Program &prog, const ProgramCfg &cfg,
                 "can ever read DONE"));
     }
 
-    // Same-cycle structural conflicts within one row.
+    // Same-cycle structural conflicts within one row, between the
+    // executable parcels that write a register or store.
     for (InstAddr r = 0; r < n; ++r) {
+        const InstRow &row = prog.row(r);
+        std::uint32_t writers = 0;
+        for (FuId fu = 0; fu < width; ++fu) {
+            const DataOp &d = row[fu].data;
+            if (cfg.executable(r, fu) &&
+                (d.hasDest() || d.op == Opcode::Store))
+                writers |= 1u << fu;
+        }
         for (FuId f1 = 0; f1 < width; ++f1) {
-            if (!cfg.executable(r, f1))
+            if (!((writers >> f1) & 1u))
                 continue;
-            const DataOp &d1 = prog.parcel(r, f1).data;
+            const DataOp &d1 = row[f1].data;
             for (FuId f2 = f1 + 1; f2 < width; ++f2) {
-                if (!cfg.executable(r, f2))
+                if (!((writers >> f2) & 1u))
                     continue;
-                const DataOp &d2 = prog.parcel(r, f2).data;
+                const DataOp &d2 = row[f2].data;
                 if (d1.hasDest() && d2.hasDest() &&
                     d1.dest == d2.dest)
                     diags.error(

@@ -27,17 +27,25 @@
  *    block boundaries (cycle limit, halt, fault, or delegation).
  *    Observers see one CycleObserver::onBlock() carrying the exact
  *    sums their per-cycle hooks would have accumulated.
- *  - The statistics package is paid per token, not per FU-cycle
- *    statistic: a committed cycle bumps one execution counter per
- *    live FU's token (VLIW: per row of FU0) and one taken counter per
- *    taken branch, and foldCounts() turns the counters into
- *    BlockStats once, at block exit. Partition tracking costs one
- *    stream count per cycle; the SSET assignment is computed once,
- *    at block exit, from the last committed cycle's tokens.
+ *  - Identical sequencers cost one. A cycle is one-stream when every
+ *    FU is live on the same row and that row's control is the same on
+ *    every FU (the kRowUniform flag). One-stream XIMD cycles and every
+ *    VLIW cycle run in one row loop, runRows(): control is evaluated
+ *    once and only the row's data lanes are dispatched, inline. XIMD
+ *    leaves the row loop for the per-FU loop when the next row is not
+ *    uniform (section 2.1: with identical sequencer functions an XIMD
+ *    is a VLIW).
+ *  - The statistics package is paid per token or row, not per FU-
+ *    cycle statistic: a committed per-FU cycle bumps one execution
+ *    counter per live FU's token and one taken counter per taken
+ *    branch, a row-loop cycle bumps its row's pair, and foldCounts()
+ *    turns the counters into BlockStats once, at block exit. Partition
+ *    tracking costs one stream count per cycle; the SSET assignment is
+ *    computed once, at block exit, from the last committed cycle's
+ *    grouping keys.
  *  - Commit checks register write conflicts with a per-register epoch
  *    stamp and runs the interpreter-exact sort-and-scan only on a
- *    cycle that conflicts. A VLIW row runs only its data lanes,
- *    dispatched inline.
+ *    cycle that conflicts.
  *
  * Fidelity contract: bit-for-bit equality with the interpreter on
  * everything MachineCore::saveState() serializes — including fault
@@ -102,12 +110,17 @@ class ThreadedBackend final : public ExecBackend
         std::uint32_t cmask = 0;
         InstAddr t1 = 0;
         InstAddr t2 = 0;
-        /** On FU0's tokens: the row's lanes with a data op (VLIW). */
+        /** On FU0's tokens: the row's lanes with a data op. */
         std::uint32_t dataLanes = 0;
+        /** On FU0's tokens: the row's FUs whose SS field is DONE. */
+        std::uint32_t rowDone = 0;
     };
 
-    /** Why a block stopped. */
-    enum class BlockExit { Limit, Halted, Faulted };
+    /**
+     * Why a block stopped, or (Diverged) why runRows() handed an XIMD
+     * block back to the per-FU loop: the next row is not uniform.
+     */
+    enum class BlockExit { Limit, Halted, Faulted, Diverged };
 
     /** Same-cycle pending writes of one block cycle. */
     struct Pend
@@ -152,20 +165,35 @@ class ThreadedBackend final : public ExecBackend
         std::uint64_t loads = 0;
         std::uint64_t stores = 0;
         std::string faultMsg;
+        // XIMD partition tracking: the stream count of the next cycle
+        // to charge, and the grouping key of each FU that stayed live
+        // through the last committed cycle (a faulting cycle writes
+        // neither).
+        unsigned streams = 0;
+        std::uint16_t keys[kMaxFus] = {};
     };
 
     /**
-     * Run one block of cycles; returns why it stopped. With kStats the
-     * committed cycles bump the per-token counters (foldCounts() turns
-     * them into BlockStats); with kPart they also charge
-     * blk.partitionCycles, and the block leaves curSsets_/curStreams_
-     * at its last committed cycle's grouping.
+     * Run one block of XIMD cycles; returns why it stopped. With
+     * kStats the committed cycles bump the per-token counters
+     * (foldCounts() turns them into BlockStats); with kPart they also
+     * charge blk.partitionCycles, and the block leaves
+     * curSsets_/curStreams_ at its last committed cycle's grouping.
+     * One-stream cycles (every FU live on one uniform row) run in
+     * runRows().
      */
     template <bool kStats, bool kPart>
     BlockExit runBlockXimd(Cycle limit, BlockState &st, BlockStats &blk);
 
-    template <bool kStats>
-    BlockExit runBlockVliw(Cycle limit, BlockState &st);
+    /**
+     * The row loop: cycles that fetch one row and sequence it once.
+     * VLIW runs every cycle here (FU0's control steers the row); XIMD
+     * runs its one-stream cycles here and returns Diverged when the
+     * next row is not uniform. Each cycle bumps the row's counters
+     * (rowExecs_/rowTakens_), not the per-token ones.
+     */
+    template <Mode kMode, bool kStats, bool kPart>
+    BlockExit runRows(Cycle limit, BlockState &st, BlockStats &blk);
 
     /**
      * End-of-cycle commit, mirroring WritePipeline::drainInto +
@@ -186,8 +214,8 @@ class ThreadedBackend final : public ExecBackend
     void commitStores(Pend &pend, BlockState &st);
 
     /**
-     * Add the per-token counters into @p blk's parcel, class, branch
-     * and busy-wait counts, and zero them.
+     * Add the per-row and per-token counters into @p blk's parcel,
+     * class, branch and busy-wait counts, and zero them.
      */
     void foldCounts(BlockStats &blk);
 
@@ -208,12 +236,13 @@ class ThreadedBackend final : public ExecBackend
     std::vector<Token> tokens_; ///< Column-major: fu * rows_ + addr.
     InstAddr rows_ = 0;
 
-    // Per-token execution and taken-branch counters, parallel to
-    // tokens_ (VLIW uses FU0's column: one count per row). Block
-    // loops bump them per committed cycle; foldCounts() empties them
-    // at every block exit.
+    // Execution and taken-branch counters: per token for the per-FU
+    // loop, per row for the row loop. Block loops bump them per
+    // committed cycle; foldCounts() empties them at every block exit.
     std::vector<std::uint64_t> execs_;
     std::vector<std::uint64_t> takens_;
+    std::vector<std::uint64_t> rowExecs_;
+    std::vector<std::uint64_t> rowTakens_;
 
     // SSET grouping mirror of PartitionTracker as of the last
     // committed cycle; valid only while groupingValid_ (invalidated by

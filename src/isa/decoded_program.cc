@@ -213,6 +213,15 @@ FlatProgram::FlatProgram(const DecodedProgram &decoded)
                         .first->second;
             }
         }
+        FlatParcel &lead = parcels_[addr];
+        bool uniform = true;
+        for (FuId fu = 1; fu < width_; ++fu) {
+            const FlatParcel &f =
+                parcels_[static_cast<std::size_t>(fu) * size_ + addr];
+            uniform &= f.ckind == lead.ckind && f.keyId == lead.keyId;
+        }
+        if (uniform)
+            lead.flags |= FlatParcel::kRowUniform;
     }
     numKeys_ = static_cast<unsigned>(keys.size());
 }

@@ -173,6 +173,12 @@ struct FlatParcel
     static constexpr std::uint8_t kCanSelfSpin = 1u << 3;
     /** On FU0 records: every lane of this row is a nop (VLIW spin). */
     static constexpr std::uint8_t kRowAllNop = 1u << 4;
+    /**
+     * On FU0 records: every FU's control has the same kind and
+     * grouping key, so FUs that all sit on this row run it as one
+     * stream.
+     */
+    static constexpr std::uint8_t kRowUniform = 1u << 5;
 };
 
 /**

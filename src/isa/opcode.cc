@@ -1,6 +1,5 @@
 #include "isa/opcode.hh"
 
-#include <array>
 #include <unordered_map>
 
 #include "support/logging.hh"
@@ -12,7 +11,11 @@ namespace {
 constexpr std::size_t kNumOps =
     static_cast<std::size_t>(Opcode::NumOpcodes);
 
-constexpr std::array<OpInfo, kNumOps> kOpTable = {{
+} // namespace
+
+namespace detail {
+
+const OpInfo kOpTable[kNumOps] = {
     // name      class                   srcs  dest
     {"nop",    OpClass::Nop,          0, false},
 
@@ -58,17 +61,15 @@ constexpr std::array<OpInfo, kNumOps> kOpTable = {{
 
     {"load",   OpClass::MemLoad,      2, true},
     {"store",  OpClass::MemStore,     2, false},
-}};
+};
 
-} // namespace
-
-const OpInfo &
-opInfo(Opcode op)
+void
+badOpcode(std::size_t idx)
 {
-    const auto idx = static_cast<std::size_t>(op);
-    XIMD_ASSERT(idx < kNumOps, "opcode out of range: ", idx);
-    return kOpTable[idx];
+    panic("opcode out of range: ", idx);
 }
+
+} // namespace detail
 
 std::string_view
 opcodeName(Opcode op)
@@ -82,20 +83,13 @@ parseOpcode(std::string_view name)
     static const std::unordered_map<std::string_view, Opcode> byName = [] {
         std::unordered_map<std::string_view, Opcode> m;
         for (std::size_t i = 0; i < kNumOps; ++i)
-            m.emplace(kOpTable[i].name, static_cast<Opcode>(i));
+            m.emplace(detail::kOpTable[i].name, static_cast<Opcode>(i));
         return m;
     }();
     auto it = byName.find(name);
     if (it == byName.end())
         return std::nullopt;
     return it->second;
-}
-
-bool
-setsCondCode(Opcode op)
-{
-    const OpClass c = opInfo(op).cls;
-    return c == OpClass::IntCompare || c == OpClass::FloatCompare;
 }
 
 bool

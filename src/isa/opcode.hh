@@ -13,6 +13,7 @@
 #ifndef XIMD_ISA_OPCODE_HH
 #define XIMD_ISA_OPCODE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string_view>
@@ -71,8 +72,22 @@ struct OpInfo
     bool hasDest;           ///< Writes a destination register.
 };
 
+namespace detail {
+/** Every opcode's descriptor, indexed by Opcode (opcode.cc). */
+extern const OpInfo kOpTable[];
+/** opInfo()'s out-of-range panic. */
+[[noreturn]] void badOpcode(std::size_t idx);
+} // namespace detail
+
 /** Look up the static descriptor for @p op. */
-const OpInfo &opInfo(Opcode op);
+inline const OpInfo &
+opInfo(Opcode op)
+{
+    const auto idx = static_cast<std::size_t>(op);
+    if (idx >= static_cast<std::size_t>(Opcode::NumOpcodes))
+        detail::badOpcode(idx);
+    return detail::kOpTable[idx];
+}
 
 /** Assembler mnemonic for @p op. */
 std::string_view opcodeName(Opcode op);
@@ -81,7 +96,12 @@ std::string_view opcodeName(Opcode op);
 std::optional<Opcode> parseOpcode(std::string_view name);
 
 /** True when @p op sets the executing FU's condition code. */
-bool setsCondCode(Opcode op);
+inline bool
+setsCondCode(Opcode op)
+{
+    const OpClass c = opInfo(op).cls;
+    return c == OpClass::IntCompare || c == OpClass::FloatCompare;
+}
 
 /** True when @p op touches memory. */
 bool isMemOp(Opcode op);

@@ -28,36 +28,17 @@ Program::addUniformRow(const Parcel &parcel)
     return addRow(InstRow(width_, parcel));
 }
 
-const InstRow &
-Program::row(InstAddr addr) const
+void
+Program::badRow(InstAddr addr) const
 {
-    if (addr >= rows_.size())
-        fatal("instruction address ", addr, " out of range (program has ",
-              rows_.size(), " rows)");
-    return rows_[addr];
+    fatal("instruction address ", addr, " out of range (program has ",
+          rows_.size(), " rows)");
 }
 
-InstRow &
-Program::row(InstAddr addr)
+void
+Program::badFu(FuId fu) const
 {
-    return const_cast<InstRow &>(
-        static_cast<const Program *>(this)->row(addr));
-}
-
-const Parcel &
-Program::parcel(InstAddr addr, FuId fu) const
-{
-    if (fu >= width_)
-        fatal("functional unit ", fu, " out of range (width ", width_,
-              ")");
-    return row(addr)[fu];
-}
-
-Parcel &
-Program::parcel(InstAddr addr, FuId fu)
-{
-    return const_cast<Parcel &>(
-        static_cast<const Program *>(this)->parcel(addr, fu));
+    fatal("functional unit ", fu, " out of range (width ", width_, ")");
 }
 
 void

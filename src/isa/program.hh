@@ -15,6 +15,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "isa/parcel.hh"
@@ -50,12 +51,28 @@ class Program
     InstAddr addUniformRow(const Parcel &parcel);
 
     /** Access a row; fatal on out-of-range address. */
-    const InstRow &row(InstAddr addr) const;
-    InstRow &row(InstAddr addr);
+    const InstRow &row(InstAddr addr) const
+    {
+        if (addr >= rows_.size())
+            badRow(addr);
+        return rows_[addr];
+    }
+    InstRow &row(InstAddr addr)
+    {
+        return const_cast<InstRow &>(std::as_const(*this).row(addr));
+    }
 
     /** Access a single parcel; fatal on out-of-range address or FU. */
-    const Parcel &parcel(InstAddr addr, FuId fu) const;
-    Parcel &parcel(InstAddr addr, FuId fu);
+    const Parcel &parcel(InstAddr addr, FuId fu) const
+    {
+        if (fu >= width_)
+            badFu(fu);
+        return row(addr)[fu];
+    }
+    Parcel &parcel(InstAddr addr, FuId fu)
+    {
+        return const_cast<Parcel &>(std::as_const(*this).parcel(addr, fu));
+    }
 
     /** Attach a label to an address (first label per address wins). */
     void setLabel(const std::string &name, InstAddr addr);
@@ -139,6 +156,10 @@ class Program
     void validate() const;
 
   private:
+    /** The out-of-range fatal() paths of row() and parcel(). */
+    [[noreturn]] void badRow(InstAddr addr) const;
+    [[noreturn]] void badFu(FuId fu) const;
+
     FuId width_;
     std::vector<InstRow> rows_;
     std::map<std::string, InstAddr> labels_;

@@ -170,7 +170,7 @@ Memory::poke(Addr addr, Word value)
 }
 
 Word
-Memory::peek(Addr addr) const
+Memory::peekChecked(Addr addr) const
 {
     checkAddr(addr);
     if (findWindow(addr))

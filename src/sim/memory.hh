@@ -70,7 +70,12 @@ class Memory
     void poke(Addr addr, Word value);
 
     /** Test/debug: read a word without side effects (RAM only). */
-    Word peek(Addr addr) const;
+    Word peek(Addr addr) const
+    {
+        if (addr < size_ && windows_.empty())
+            return wordAt(table_.data(), addr);
+        return peekChecked(addr);
+    }
 
     /** True when any device window is attached. */
     bool hasDevices() const { return !windows_.empty(); }
@@ -163,6 +168,9 @@ class Memory
 
     void checkAddr(Addr addr) const;
     const DeviceWindow *findWindow(Addr addr) const;
+
+    /** peek() with its range and device-window checks. */
+    Word peekChecked(Addr addr) const;
 
     std::size_t size_;
     /** Per page: its storage, or the shared zero page while untouched. */

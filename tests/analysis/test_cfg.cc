@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/lockstep.hh"
 #include "asm/assembler.hh"
 
 namespace ximd::analysis {
@@ -31,14 +32,14 @@ TEST(Cfg, SuccessorsFollowTwoTargetBranches)
 
     const StreamCfg &s0 = cfg.streams[0];
     // Unconditional: one successor.
-    ASSERT_EQ(s0.succs[0].size(), 1u);
-    EXPECT_EQ(s0.succs[0][0], 1u);
+    ASSERT_EQ(s0.succs(0).size(), 1u);
+    EXPECT_EQ(s0.succs(0)[0], 1u);
     // Conditional: both targets, t1=join(4), t2=top(0).
-    ASSERT_EQ(s0.succs[3].size(), 2u);
-    EXPECT_EQ(s0.succs[3][0], 4u);
-    EXPECT_EQ(s0.succs[3][1], 0u);
+    ASSERT_EQ(s0.succs(3).size(), 2u);
+    EXPECT_EQ(s0.succs(3)[0], 4u);
+    EXPECT_EQ(s0.succs(3)[1], 0u);
     // Halt: no successors.
-    EXPECT_TRUE(s0.succs[4].empty());
+    EXPECT_TRUE(s0.succs(4).empty());
 }
 
 TEST(Cfg, PredecessorsMirrorSuccessors)
@@ -48,11 +49,41 @@ TEST(Cfg, PredecessorsMirrorSuccessors)
     const StreamCfg &s0 = cfg.streams[0];
 
     // top (row 0) is entered from the back edge of br (row 3).
-    ASSERT_EQ(s0.preds[0].size(), 1u);
-    EXPECT_EQ(s0.preds[0][0], 3u);
+    ASSERT_EQ(s0.preds(0).size(), 1u);
+    EXPECT_EQ(s0.preds(0)[0], 3u);
     // join (row 4) only from br.
-    ASSERT_EQ(s0.preds[4].size(), 1u);
-    EXPECT_EQ(s0.preds[4][0], 3u);
+    ASSERT_EQ(s0.preds(4).size(), 1u);
+    EXPECT_EQ(s0.preds(4)[0], 3u);
+}
+
+TEST(Cfg, ColumnsWithIdenticalControlShareOneGraph)
+{
+    // FU0 and FU2 run the same loop; FU1's control differs only at
+    // row 2, which none of the columns can reach.
+    const Program p = assembleString(R"(
+        .fus 3
+        top:  -> b ; eq #0,#1 || -> b ; nop || -> b ; nop
+        b:    if cc0 top o ; nop || if cc0 top o ; nop || if cc0 top o ; nop
+        dead: halt ; nop || -> top ; nop || halt ; nop
+        o:    halt ; nop || halt ; nop || halt ; nop
+    )");
+    const ProgramCfg cfg = buildCfg(p);
+    ASSERT_EQ(cfg.streams.size(), 3u);
+    EXPECT_TRUE(cfg.streams[0].sameGraph(cfg.streams[2]));
+    EXPECT_FALSE(cfg.streams[0].sameGraph(cfg.streams[1]));
+    for (FuId fu = 0; fu < 3; ++fu) {
+        const StreamCfg &s = cfg.streams[fu];
+        EXPECT_EQ(s.rows(), 4u);
+        ASSERT_EQ(s.succs(1).size(), 2u) << fu;
+        EXPECT_EQ(s.succs(1)[0], 0u);
+        EXPECT_EQ(s.succs(1)[1], 3u);
+        EXPECT_EQ(s.succs(2).size(), fu == 1 ? 1u : 0u);
+        EXPECT_EQ(s.preds(0).size(), fu == 1 ? 2u : 1u);
+        EXPECT_FALSE(s.isReachable(2)) << fu;
+        EXPECT_TRUE(s.isReachable(3)) << fu;
+    }
+    // Lockstep equivalence reads only reachable rows: still one class.
+    EXPECT_EQ(computeLockstepClasses(p, cfg).count(), 1u);
 }
 
 TEST(Cfg, ReachabilityIsPerColumn)
@@ -84,7 +115,7 @@ TEST(Cfg, BadBranchTargetIsDroppedAndDiagnosed)
     p.addRow(InstRow(1, Parcel(ControlOp::halt(), DataOp::nop())));
 
     const ProgramCfg cfg = buildCfg(p);
-    EXPECT_TRUE(cfg.streams[0].succs[0].empty());
+    EXPECT_TRUE(cfg.streams[0].succs(0).empty());
 
     DiagnosticList diags;
     checkCfg(p, cfg, diags);

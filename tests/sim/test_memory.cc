@@ -286,6 +286,9 @@ TEST(Memory, PokeIntoDeviceWindowRejected)
     m.attachDevice(10, 10, &a);
     EXPECT_THROW(m.poke(10, 1), FatalError);
     EXPECT_THROW(m.peek(10), FatalError);
+    // Only the window: its neighbours stay plain RAM.
+    m.poke(11, 5);
+    EXPECT_EQ(m.peek(11), 5u);
 }
 
 TEST(Memory, WindowOffsetsPassedToDevice)
