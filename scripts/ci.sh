@@ -91,9 +91,9 @@ echo "race-lint: good corpus clean, bad corpus rejected"
 
 # Execution-backend stage: the threaded-code backend must be
 # observationally identical to the interpreter. Run the golden and
-# differential suites that pin that, then drive the batch engine
-# under both backends and require the reports to agree on everything
-# except the self-describing backend/predecode labels.
+# differential suites that pin that, then drive the farm under both
+# backends and require the reports to agree on everything except the
+# self-describing backend/predecode labels.
 echo "==> backend (interp vs threaded: goldens, fuzz, xfarm parity)"
 ctest --test-dir build-release -j "$JOBS" --output-on-failure \
     -R 'Backend\.|BackendDifferential|GoldenEquivalence|DifferentialFuzz|cli_xsim_backend|cli_xfarm_backend'
@@ -143,27 +143,6 @@ cmake --build build-portable -j "$JOBS" \
 ctest --test-dir build-portable -j "$JOBS" --output-on-failure \
     -R 'Backend\.|BackendDifferential|GoldenEquivalence|VliwEquivalence'
 echo "portable dispatch: switch form matches the interpreter"
-
-# Batch-parity stage: the SoA lockstep engine must be architecturally
-# indistinguishable from the scalar farm. Run the batch/service unit
-# suites, then diff whole-suite reports scalar-vs-batched with only
-# the self-describing backend labels normalized — cycles, stats,
-# arch hashes and failure strings must match byte for byte.
-echo "==> batch-parity (scalar vs batched xfarm reports)"
-ctest --test-dir build-release -j "$JOBS" --output-on-failure \
-    -R 'BatchEngine|BatchRunner|BatchParity|Service\.|Schema|cli_xfarm_batch'
-"$XFARM" --quiet --n 64 --no-timing \
-    --out "$XCC_OUT/farm_scalar.json"
-"$XFARM" --quiet --n 64 --no-timing --batch --width 256 \
-    --out "$XCC_OUT/farm_batched.json"
-for f in farm_scalar farm_batched; do
-    sed -e 's/"backend": "[a-z]*"/"backend": "-"/' \
-        -e 's/"predecode": "[a-z]*"/"predecode": "-"/' \
-        "$XCC_OUT/$f.json" > "$XCC_OUT/$f.norm.json"
-done
-diff -u "$XCC_OUT/farm_scalar.norm.json" \
-        "$XCC_OUT/farm_batched.norm.json"
-echo "batch-parity: batched matches the scalar farm across the suite"
 
 # Exact-scheduler stage: the exact tier must prove every paper kernel
 # minimal within the default budget (no timeout fallback in CI), and
@@ -235,25 +214,27 @@ fi
 # hand, and the assembler slices source text into views and parses
 # literals in place (its equivalence golden replays ~1000 broken
 # sources), and the threaded backend indexes per-token counters, key
-# owners and register stamps by hand (its interp-vs-threaded and
-# batch-parity suites drive them), and the checkers share one
-# ProgramFacts per program that the compile context carries from
-# verify to race-check and drops when a pass replaces the program
-# (the verifier, race-engine and pipeline suites drive it), so run
+# owners and register stamps by hand (its interp-vs-threaded suites
+# drive them), and the checkers share one ProgramFacts per program
+# that the compile context carries from verify to race-check and
+# drops when a pass replaces the program (the verifier, race-engine
+# and pipeline suites drive it), so run
 # those suites again under ASan+UBSan explicitly (they are also part
 # of the full runs above; this stage keeps them visible and gating on
 # their own).
 echo "==> test (sanitize: snapshot + fuzz + fault + memory + json + interval + asm + backend + verifier + pipeline suites)"
 ctest --test-dir build-sanitize -j "$JOBS" --output-on-failure \
-    -R 'Service\.|Sweep\.|FaultPlan\.|StateIo|Snapshot|FaultCampaign|DifferentialFuzz|Memory\.|Json\.|ClassIntervals\.|RaceEquivalence\.|Assembler\.|AsmWriter\.|AsmEquivalence\.|Backend\.|BackendDifferential|BatchParity|Cfg\.|Dataflow\.|Lockstep\.|SyncCheck\.|RaceEngine\.|Verify|Pipeline|cli_xfarm_checkpoint|cli_xfarm_resume|cli_xfarm_faults'
+    -R 'Service\.|Sweep\.|FaultPlan\.|StateIo|Snapshot|FaultCampaign|DifferentialFuzz|Memory\.|Json\.|ClassIntervals\.|RaceEquivalence\.|Assembler\.|AsmWriter\.|AsmEquivalence\.|Backend\.|BackendDifferential|Cfg\.|Dataflow\.|Lockstep\.|SyncCheck\.|RaceEngine\.|Verify|Pipeline|cli_xfarm_checkpoint|cli_xfarm_resume|cli_xfarm_faults'
 
 # Coverage stage: gcov line coverage of the execution layers.
 echo "==> coverage (gcov: src/sim + src/core)"
 scripts/coverage_report.sh "$JOBS"
 
-# TSAN stage: only the batch engine runs threads, so build just the
-# farm test binary and the xfarm CLI and run the Farm/Sweep tests
-# (which include the 1-vs-8-thread determinism checks) instrumented.
+# TSAN stage: threads run only in the farm's worker pool and in the
+# service, whose worker starts that pool for every submission, so
+# build just the farm test binary and the xfarm CLI and run the
+# Farm/Sweep/Service tests (which include the 1-vs-8-thread
+# determinism checks) instrumented.
 echo "==> configure (tsan)"
 cmake --preset tsan
 echo "==> build (tsan: farm targets)"

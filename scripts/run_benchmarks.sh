@@ -193,30 +193,6 @@ if exact_rows:
         "fallback_ms": exact_rows.get("exactFallback"),
     }
 
-# Batch-throughput summary: batchThroughput/<width> rows (width 1 is
-# the scalar farm) with jobs/s, aggregate simulated cycles/s and the
-# speedup over the scalar baseline. The width-1 row is the scalar
-# target (>= 20k jobs/s); the speedups show what batching still adds
-# over it (DESIGN.md section 13).
-widths = {
-    int(b["name"].rsplit("/", 1)[1]): b
-    for b in merged["benchmarks"]
-    if b["binary"] == "bench_batch_throughput"
-    and b["name"].startswith("batchThroughput/")
-}
-if widths:
-    base = widths.get(1, {}).get("jobs_per_s")
-    merged["batch_throughput"] = [
-        {
-            "width": w,
-            "jobs_per_s": b.get("jobs_per_s"),
-            "machine_cycles_per_s": b.get("machine_cycles_per_s"),
-            "speedup": round(b["jobs_per_s"] / base, 3)
-            if base and b.get("jobs_per_s") else None,
-        }
-        for w, b in sorted(widths.items())
-    ]
-
 # Race-lint summary (bench_race_lint): analyzeRaces microseconds per
 # program over each lint corpus (built-in grid, xcc/C goldens, 200
 # random programs, Livermore compiles) -- the cost that decides

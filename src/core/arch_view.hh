@@ -6,12 +6,12 @@
  * Post-run result checks (farm/suite.cc's reference-model
  * comparisons, RunSpec::check in general) need exactly three things:
  * the program's symbol tables, named registers, and memory words.
- * Giving them this interface instead of `const Machine &` lets the
- * same check run against a scalar Machine and against one lane of the
- * batch engine's structure-of-arrays state — which is what makes
- * checked jobs batch-eligible at all (a check consumes the *final*
- * state; it never needs per-cycle fidelity, unlike a device-attaching
- * JobFixture).
+ * This interface is RunSpec::check's argument instead of
+ * `const Machine &`: a check reads only the *final* state, never
+ * per-cycle events (unlike a device-attaching JobFixture), and a
+ * caller can hand it another view of that state — the repository
+ * benchmark wraps the Machine in one that corrupts every value read,
+ * to prove the checks catch a wrong answer.
  *
  * Accessors fault (FatalError) on bad names or addresses, matching
  * MachineCore's behavior, so a buggy check fails its job with the

@@ -157,8 +157,7 @@ RunStats::json(double cycleNs, const std::string &backend) const
         // Which execution configuration produced these numbers: the
         // effective backend, and the program representation it
         // dispatches over (the interpreter walks DecodedParcel rows;
-        // the threaded and batch executors the flattened per-FU token
-        // streams).
+        // the threaded backend the flattened per-FU token streams).
         os << "  \"backend\": \"" << backend << "\",\n"
            << "  \"predecode\": \""
            << (backend == "interp" ? "decoded" : "flat") << "\",\n";

@@ -1,32 +1,16 @@
 /**
  * @file
- * Cohort dispatch: route a batch of RunSpecs through the SoA lockstep
- * engine where fidelity allows, and through scalar Machines elsewhere.
+ * A forwarder kept for the repository benchmark, and for nothing else:
+ * BatchRunner::run(specs, threads, width) returns Farm::run(specs,
+ * threads) and ignores the lane width.
  *
- * BatchRunner::run consumes the same `std::vector<RunSpec>` as
- * Farm::run and returns the same BatchResult in spec order — RunSpec
- * is the single job description for the scalar, farm, and batched
- * paths (DESIGN.md section 8). The difference is purely mechanical:
- * batch-eligible specs are grouped into *cohorts* that share one
- * PreparedProgram and one semantics-relevant configuration, each
- * cohort runs through one batch::BatchEngine, and everything else
- * falls back to Farm::runOne on the worker pool.
- *
- * Eligibility mirrors MachineCore::demotionReason(): a job batches
- * only when nothing about it needs per-cycle observation. Fixtures
- * (devices, per-run setUp hooks), traces, checkpoints, snapshot
- * resumes, registered sync, multi-cycle result latency, and an
- * explicitly forced interpreter all demote the job to the scalar path
- * — batchDemotionReason() names the first reason, exactly as
- * demotionReason() does for the threaded backend. A RunSpec::check
- * does NOT demote: it reads only final state through ArchView, so the
- * engine evaluates it against the retiring lane (batch::LaneCheck)
- * with the same fault > budget > check precedence as Farm::runOne.
- *
- * A batched job's JobResult reports backend "batch"; everything else
- * about it — RunResult, RunStats, archHash, the error strings for
- * faults and exhausted budgets — is bit-identical to the scalar run,
- * which tests/batch/ and the ci.sh batch-parity stage verify.
+ * The lane engine this name once dispatched to is deleted; jobs run
+ * only on the scalar farm. perfbench's service-rt workload
+ * (perfbench/src/service_rt.cc) still includes this header and calls
+ * BatchRunner::run(specs, 1, 0) in its traced replay, and the
+ * benchmark is changed only on its own. The benchmark follow-up
+ * (ROADMAP.md, item 2(a)) repoints that replay and deletes this
+ * header. Nothing under src/, tests/ or bench/ includes it.
  */
 
 #ifndef XIMD_FARM_BATCH_RUNNER_HH
@@ -34,33 +18,18 @@
 
 #include <vector>
 
-#include "farm/run_spec.hh"
+#include "farm/farm.hh"
 
 namespace ximd::farm {
-
-/**
- * Why @p spec cannot run through the batch engine, or nullptr when it
- * is batch-eligible. The string is static, human-readable, and stable
- * enough to assert on.
- */
-const char *batchDemotionReason(const RunSpec &spec);
 
 class BatchRunner
 {
   public:
-    /**
-     * Execute every spec; return results in spec order, exactly like
-     * Farm::run. Batch-eligible specs run through per-cohort
-     * BatchEngines on the calling thread; demoted specs run through
-     * Farm::run's worker pool.
-     *
-     * @param threads  worker count for the scalar fallback jobs;
-     *                 0 picks the hardware concurrency.
-     * @param width    lanes per engine (capped at the cohort size);
-     *                 0 picks the default of 256.
-     */
     static BatchResult run(const std::vector<RunSpec> &specs,
-                           unsigned threads = 0, unsigned width = 0);
+                           unsigned threads = 0, unsigned /*width*/ = 0)
+    {
+        return Farm::run(specs, threads);
+    }
 };
 
 } // namespace ximd::farm

@@ -77,11 +77,10 @@ using FixtureFactory =
  * through ArchView, returns an empty string on pass or a failure
  * description (which becomes a Check::RunFailed diagnostic).
  *
- * This is the batchable counterpart to JobFixture::check. A fixture
- * holds per-run objects and may attach devices, so a fixture job must
- * run on its own scalar Machine; a ResultCheck consumes nothing but
- * the end state, so checked jobs stay eligible for the lockstep batch
- * engine. Prefer a ResultCheck unless the job really needs setUp.
+ * This is the stateless counterpart to JobFixture::check. A fixture
+ * holds per-run objects and may attach devices; a ResultCheck
+ * consumes nothing but the end state. Prefer a ResultCheck unless the
+ * job really needs setUp.
  * Checks run only for runs that halt cleanly — a fault or an
  * exhausted cycle budget already failed the job.
  */
@@ -109,7 +108,7 @@ struct RunSpec
     /** Optional per-run environment builder (may be empty). */
     FixtureFactory fixture;
 
-    /** Optional post-run state check (may be empty; batchable). */
+    /** Optional post-run state check (may be empty). */
     ResultCheck check;
 
     /// @name Checkpoint / resume (src/snapshot/).

@@ -1,9 +1,11 @@
 #include "farm/service.hh"
 
+#include <algorithm>
+#include <initializer_list>
+#include <string_view>
 #include <utility>
 
 #include "core/stats.hh"
-#include "farm/batch_runner.hh"
 #include "farm/farm.hh"
 #include "farm/suite.hh"
 #include "farm/sweep.hh"
@@ -29,6 +31,19 @@ emitError(const Service::LineSink &out, const std::string &message)
     v.set("ok", false);
     v.set("error", message);
     out(v.dump(0));
+}
+
+/** The first key of object @p obj not in @p known, or nullptr. */
+const std::string *
+unknownKey(const json::Value &obj,
+           std::initializer_list<std::string_view> known)
+{
+    for (const auto &[key, value] : obj.members()) {
+        (void)value;
+        if (std::find(known.begin(), known.end(), key) == known.end())
+            return &key;
+    }
+    return nullptr;
 }
 
 const char *
@@ -73,11 +88,7 @@ Service::workerLoop()
         lock.unlock();
         // Execution happens unlocked: submits, status polls, and
         // result waits stay responsive during a long batch.
-        BatchResult result =
-            next->useBatch
-                ? BatchRunner::run(next->specs, next->threads,
-                                   next->width)
-                : Farm::run(next->specs, next->threads);
+        BatchResult result = Farm::run(next->specs, next->threads);
         lock.lock();
         next->result = std::move(result);
         next->state = State::Done;
@@ -162,20 +173,32 @@ Service::handleLine(const std::string &line, const LineSink &out)
     json::FieldReader fields;
 
     if (cmd->asString() == "submit") {
+        // A key the submission does not read is refused by name, so a
+        // misspelt or retired option is not silently dropped.
+        if (const std::string *key = unknownKey(
+                req, {"cmd", "sweep", "suite", "threads", "resume"})) {
+            emitError(out, "unknown submit key '" + *key + "'");
+            return Action::Continue;
+        }
         auto batch = std::make_unique<Batch>();
         const json::Value *resumeField = req.find("resume");
         std::string resume;
         fields.get("resume", resumeField, resume);
-        fields.get("batch", req.find("batch"), batch->useBatch);
-        fields.get("threads", req.find("threads"), batch->threads);
-        fields.get("width", req.find("width"), batch->width);
+        fields.get("threads", req.find("threads"), batch->threads,
+                   kMaxThreads);
         if (!fields.ok()) {
             emitError(out, fields.error());
             return Action::Continue;
         }
 
         std::vector<RunSpec> specs;
-        if (const json::Value *sweep = req.find("sweep")) {
+        const json::Value *sweep = req.find("sweep");
+        const json::Value *suite = req.find("suite");
+        if (sweep && suite) {
+            emitError(out, "submit takes 'sweep' or 'suite', not both");
+            return Action::Continue;
+        }
+        if (sweep) {
             auto loaded = parseSweep(sweep->dump(0));
             if (!loaded.hasValue()) {
                 emitError(out,
@@ -184,9 +207,14 @@ Service::handleLine(const std::string &line, const LineSink &out)
                 return Action::Continue;
             }
             specs = std::move(loaded.value());
-        } else if (const json::Value *suite = req.find("suite")) {
+        } else if (suite) {
             if (!suite->isObject()) {
                 emitError(out, "'suite' must be an object");
+                return Action::Continue;
+            }
+            if (const std::string *key = unknownKey(
+                    *suite, {"n", "seed", "regsync_axis", "filter"})) {
+                emitError(out, "unknown suite key '" + *key + "'");
                 return Action::Continue;
             }
             SuiteOptions so;

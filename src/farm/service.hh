@@ -3,7 +3,7 @@
  * xfarm as a service: the JSON-lines request engine behind --serve.
  *
  * A Service owns a queue of submitted batches and one worker thread
- * that drains it through BatchRunner (or the scalar farm). The wire
+ * that drains it, running each batch through Farm::run. The wire
  * protocol is JSON lines — one request object in, one or more response
  * objects out, every response stamped `"schema": N` — so any client
  * that can write a line and read lines can drive it; the daemon layer
@@ -17,10 +17,11 @@
  *   {"cmd":"submit","sweep":{...}}          inline sweep object
  *   {"cmd":"submit","suite":{"n":256,"seed":1,"regsync_axis":false,
  *                            "filter":["minmax"]}}
- *       Options: "batch":false forces the scalar farm path,
- *       "threads":N workers for scalar jobs, "width":N lanes,
+ *       Options: "threads":N farm workers (default 0: the hardware
+ *       concurrency, like xfarm -j; at most kMaxThreads),
  *       "resume":"file.snap" warm-starts the job whose name matches
- *       the XIMDSNAP label (exactly like xfarm --resume).
+ *       the XIMDSNAP label (exactly like xfarm --resume). Any other
+ *       key, in the request or in "suite", is an error naming it.
  *       -> {"schema":1,"ok":true,"event":"submitted","batch":B,
  *           "jobs":N}
  *   {"cmd":"status"}  or  {"cmd":"status","batch":B}
@@ -70,6 +71,14 @@ class Service
     /** Receives one response line (no trailing newline). */
     using LineSink = std::function<void(const std::string &)>;
 
+    /**
+     * The most farm workers one submission may ask for. Farm::run
+     * starts one std::thread per worker (up to the job count), and a
+     * thread that cannot be started would end the daemon, so a larger
+     * "threads" is refused when the request is read.
+     */
+    static constexpr unsigned kMaxThreads = 256;
+
     Service();
     ~Service();
 
@@ -96,9 +105,7 @@ class Service
     {
         std::size_t id = 0;
         std::vector<RunSpec> specs;
-        bool useBatch = true;
-        unsigned threads = 1;
-        unsigned width = 0;
+        unsigned threads = 0; ///< Farm::run's: 0 = hardware concurrency.
         State state = State::Queued;
         BatchResult result;
     };

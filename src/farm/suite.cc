@@ -250,8 +250,8 @@ programKey(const std::string &workload, Mode mode, unsigned n,
  * with the same recipe buildProgram used.
  *
  * These are RunSpec::check functions, not fixtures: they read only
- * final state through ArchView, which keeps every deterministic
- * workload eligible for the batch engine (farm/batch_runner.hh).
+ * final state through ArchView, so they hold no per-run objects and
+ * attach no devices.
  */
 ResultCheck
 referenceCheck(const std::string &workload, unsigned n,

@@ -154,9 +154,10 @@ class Value
  * @p v in @p dst; an absent field (null @p v) leaves @p dst as it is.
  * A value of the wrong JSON type is rejected, and so is, for an
  * unsigned integer @p dst, a negative number, a fraction, or a number
- * @p dst cannot hold. The first rejection is kept as error(), a
- * message naming @p key, and every get() after it fails at once, so a
- * run of reads needs one check at the end.
+ * above @p max (by default the largest @p dst can hold). The first
+ * rejection is kept as error(), a message naming @p key, and every
+ * get() after it fails at once, so a run of reads needs one check at
+ * the end.
  */
 class FieldReader
 {
@@ -169,10 +170,11 @@ class FieldReader
              std::vector<std::string> &dst);
 
     template <std::unsigned_integral T>
-    bool get(std::string_view key, const Value *v, T &dst)
+    bool get(std::string_view key, const Value *v, T &dst,
+             T max = std::numeric_limits<T>::max())
     {
         std::uint64_t wide = dst;
-        if (!getUint(key, v, std::numeric_limits<T>::max(), wide))
+        if (!getUint(key, v, max, wide))
             return false;
         dst = static_cast<T>(wide);
         return true;

@@ -6,9 +6,8 @@
  * Three modes:
  *
  *  - One-shot (default): expand the built-in section 4.1 suite or a
- *    --sweep file into RunSpecs, run them on the worker pool (or,
- *    with --batch, through the SoA lockstep engine where eligible —
- *    see farm/batch_runner.hh), print/save reports, exit.
+ *    --sweep file into RunSpecs, run them on the worker pool,
+ *    print/save reports, exit.
  *
  *  - Daemon (--serve SOCKET): bind an AF_UNIX socket and answer the
  *    JSON-lines protocol of farm/service.hh — submit sweeps/suites,
@@ -44,7 +43,6 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include "farm/batch_runner.hh"
 #include "farm/campaign.hh"
 #include "farm/farm.hh"
 #include "farm/service.hh"
@@ -67,8 +65,6 @@ struct Options
     std::string connectSocket;
     std::optional<Backend> backend;
     unsigned jobs = 0;
-    unsigned width = 0;
-    bool batch = false;
     bool list = false;
     bool statsJson = false;
     bool report = false;
@@ -110,15 +106,6 @@ parseArgs(int argc, char **argv)
                  return argparse::Parser::parseNumber(v, o.jobs);
              },
              "-j");
-    p.flag("--batch",
-           "run eligible jobs through the SoA lockstep\nengine "
-           "(same results, backend \"batch\")",
-           [&] { o.batch = true; });
-    p.option("--width", "N",
-             "lanes per batch engine (default 256)",
-             [&](const std::string &v) {
-                 return argparse::Parser::parseNumber(v, o.width);
-             });
     p.option("--filter", "SUBSTR",
              "keep jobs whose name contains SUBSTR",
              [&](const std::string &v) {
@@ -517,9 +504,7 @@ main(int argc, char **argv)
         }
     }
 
-    const BatchResult batch =
-        o.batch ? BatchRunner::run(specs, o.jobs, o.width)
-                : Farm::run(specs, o.jobs);
+    const BatchResult batch = Farm::run(specs, o.jobs);
 
     if (!o.quiet) {
         for (const JobResult &j : batch.jobs) {

@@ -17,7 +17,6 @@
 
 #include <gtest/gtest.h>
 
-#include "farm/batch_runner.hh"
 #include "farm/farm.hh"
 #include "farm/service.hh"
 #include "farm/suite.hh"
@@ -152,41 +151,31 @@ TEST(ReportBytes, ServiceResultsMatchTreeRendering)
     auto sweepSpecs = parseSweep(sweep);
     ASSERT_TRUE(sweepSpecs.hasValue());
 
-    for (const bool batched : {true, false}) {
-        const std::string option = batched ? "" : R"(,"batch":false)";
-        const std::vector<std::pair<std::string, std::vector<RunSpec>>>
-            submissions = {
-                {R"("suite":{"n":16,"seed":1,"regsync_axis":true})",
-                 suiteSpecs(1)},
-                {R"("suite":{"n":16,"seed":2,"regsync_axis":true})",
-                 suiteSpecs(2)},
-                {R"("sweep":)" + sweep, sweepSpecs.value()},
-            };
-        Service service;
-        for (std::size_t id = 0; id < submissions.size(); ++id) {
-            const auto &[body, specs] = submissions[id];
-            std::vector<std::string> lines;
-            const auto sink = [&lines](const std::string &line) {
-                lines.push_back(line);
-            };
-            service.handleLine(
-                R"({"cmd":"submit",)" + body + option + "}", sink);
-            ASSERT_EQ(lines.size(), 1u);
-            ASSERT_NE(lines[0].find("\"submitted\""), std::string::npos)
-                << lines[0];
-            lines.clear();
-            service.handleLine(R"({"cmd":"results","batch":)" +
-                                   std::to_string(id) +
-                                   R"(,"wait":true})",
-                               sink);
-
-            const BatchResult expect = batched
-                                           ? BatchRunner::run(specs, 1, 0)
-                                           : Farm::run(specs, 1);
-            EXPECT_EQ(lines, referenceResults(expect, id))
-                << (batched ? "batched" : "scalar") << " submission "
-                << id;
-        }
+    const std::vector<std::pair<std::string, std::vector<RunSpec>>>
+        submissions = {
+            {R"("suite":{"n":16,"seed":1,"regsync_axis":true})",
+             suiteSpecs(1)},
+            {R"("suite":{"n":16,"seed":2,"regsync_axis":true})",
+             suiteSpecs(2)},
+            {R"("sweep":)" + sweep, sweepSpecs.value()},
+        };
+    Service service;
+    for (std::size_t id = 0; id < submissions.size(); ++id) {
+        const auto &[body, specs] = submissions[id];
+        std::vector<std::string> lines;
+        const auto sink = [&lines](const std::string &line) {
+            lines.push_back(line);
+        };
+        service.handleLine(R"({"cmd":"submit",)" + body + "}", sink);
+        ASSERT_EQ(lines.size(), 1u);
+        ASSERT_NE(lines[0].find("\"submitted\""), std::string::npos)
+            << lines[0];
+        lines.clear();
+        service.handleLine(R"({"cmd":"results","batch":)" +
+                               std::to_string(id) + R"(,"wait":true})",
+                           sink);
+        EXPECT_EQ(lines, referenceResults(Farm::run(specs, 1), id))
+            << "submission " << id;
     }
 }
 

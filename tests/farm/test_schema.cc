@@ -13,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include "core/stats.hh"
-#include "farm/batch_runner.hh"
 #include "farm/campaign.hh"
 #include "farm/farm.hh"
 #include "farm/suite.hh"
@@ -81,9 +80,6 @@ TEST(Schema, PredecodeNamesTheDispatchRepresentation)
     EXPECT_NE(RunStats(1).json(0.0, "threaded").find(
                   "\"predecode\": \"flat\""),
               std::string::npos);
-    EXPECT_NE(RunStats(1).json(0.0, "batch").find(
-                  "\"predecode\": \"flat\""),
-              std::string::npos);
 }
 
 TEST(Schema, XfarmReportKeySetIsPinned)
@@ -92,7 +88,7 @@ TEST(Schema, XfarmReportKeySetIsPinned)
     so.n = 16;
     std::vector<RunSpec> specs = builtinSuite(so);
     specs.resize(2);
-    const BatchResult batch = BatchRunner::run(specs, 1, 4);
+    const BatchResult batch = Farm::run(specs, 1);
 
     const json::Value v = parseOrDie(batch.json(false));
     EXPECT_EQ(schemaOf(v), kStatsJsonSchema);
@@ -130,8 +126,7 @@ TEST(Schema, RoundTripPreservesEveryValue)
     so.n = 16;
     std::vector<RunSpec> specs = builtinSuite(so);
     specs.resize(2);
-    const std::string report =
-        BatchRunner::run(specs, 1, 4).json(false);
+    const std::string report = Farm::run(specs, 1).json(false);
     const json::Value v = parseOrDie(report);
     const json::Value v2 = parseOrDie(v.dump(2));
     EXPECT_EQ(v.dump(2), v2.dump(2));

@@ -8,6 +8,7 @@
  */
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -71,20 +72,41 @@ TEST(Service, RejectsGarbageAndUnknownCommands)
     EXPECT_NE(out[0].find("\"ok\":false"), std::string::npos)
         << out[0];
 
-    // Mistyped fields once aborted the daemon.
-    for (const char *line :
-         {R"({"cmd":"results","batch":"0"})",
-          R"({"cmd":"status","batch":-1})",
-          R"({"cmd":"submit","suite":{"n":64},"batch":1})",
-          R"({"cmd":"submit","suite":{"filter":"minmax"}})",
-          R"({"cmd":"submit","suite":{"n":64,"filter":[1]}})",
-          R"({"cmd":"submit","suite":{"n":4294967297}})",
-          R"({"cmd":"submit","suite":7})"}) {
+    // Mistyped fields once aborted the daemon; unknown submit keys,
+    // among them the retired "batch" and "width" options, were once
+    // dropped silently. Each is an error naming the key, and none of
+    // these submissions queues a batch: "threads" above the bound is
+    // refused before Farm::run could start its threads.
+    const std::pair<const char *, const char *> mistyped[] = {
+        {R"({"cmd":"results","batch":"0"})", "'batch'"},
+        {R"({"cmd":"status","batch":-1})", "'batch'"},
+        {R"({"cmd":"submit","suite":{"n":64},"batch":1})", "'batch'"},
+        {R"({"cmd":"submit","suite":{"n":64},"batch":false})",
+         "'batch'"},
+        {R"({"cmd":"submit","suite":{"n":64},"width":4})", "'width'"},
+        {R"({"cmd":"submit","suite":{"n":64},"thread":2})", "'thread'"},
+        {R"({"cmd":"submit","suite":{"nn":64}})", "'nn'"},
+        {R"({"cmd":"submit","suite":{"filter":"minmax"}})", "'filter'"},
+        {R"({"cmd":"submit","suite":{"n":64,"filter":[1]}})",
+         "'filter'"},
+        {R"({"cmd":"submit","suite":{"n":4294967297}})", "'n'"},
+        {R"({"cmd":"submit","suite":7})", "'suite'"},
+        {R"({"cmd":"submit","suite":{"n":16},"threads":257})",
+         "'threads' must be at most 256"},
+        {R"({"cmd":"submit","suite":{"n":16},"sweep":{"runs":[]}})",
+         "'sweep' or 'suite'"},
+    };
+    for (const auto &[line, key] : mistyped) {
         out = request(service, line);
         ASSERT_EQ(out.size(), 1u) << line;
         EXPECT_NE(out[0].find("\"ok\":false"), std::string::npos)
             << line << " -> " << out[0];
+        EXPECT_NE(out[0].find(key), std::string::npos)
+            << line << " -> " << out[0];
     }
+    out = request(service, R"({"cmd":"status"})");
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_NE(out[0].find("\"batches\":0"), std::string::npos) << out[0];
     out = request(service, R"({"cmd":"ping"})");
     ASSERT_EQ(out.size(), 1u);
     EXPECT_TRUE(lineSays(out[0], "event", "pong"));
@@ -118,8 +140,8 @@ TEST(Service, SuiteSubmissionStreamsJobsInSpecOrder)
     EXPECT_NE(lines.back().find("\"failures\":0"),
               std::string::npos)
         << lines.back();
-    // Batched execution is the default path for eligible jobs.
-    EXPECT_NE(lines[0].find("\"backend\":\"batch\""),
+    // Every job runs on the farm, on the default backend.
+    EXPECT_NE(lines[0].find("\"backend\":\"threaded\""),
               std::string::npos)
         << lines[0];
 }
@@ -161,56 +183,20 @@ TEST(Service, InlineSweepSubmissionRuns)
 
 TEST(Service, ResultsStreamIsByteIdenticalAcrossThreadCounts)
 {
-    // The satellite property: j1 vs jN submissions of the same work
-    // answer byte-identical result streams (no timing fields, spec
-    // order, pure-function jobs).
-    const char *submitJ1 =
-        R"({"cmd":"submit","suite":{"n":32},"threads":1})";
-    const char *submitJ8 =
-        R"({"cmd":"submit","suite":{"n":32},"threads":8})";
+    // j1, jN and default (hardware concurrency) submissions of the
+    // same work answer byte-identical result streams (no timing
+    // fields, spec order, pure-function jobs).
     Service s1;
     Service s8;
-    const auto lines1 = submitAndStream(s1, submitJ1);
-    const auto lines8 = submitAndStream(s8, submitJ8);
-    ASSERT_EQ(lines1.size(), lines8.size());
-    for (std::size_t i = 0; i < lines1.size(); ++i)
-        EXPECT_EQ(lines1[i], lines8[i]) << "line " << i;
-}
-
-TEST(Service, ScalarFallbackMatchesBatchedResults)
-{
-    // "batch":false forces the scalar farm; the result stream must
-    // agree with the batched one everywhere except the backend name.
-    Service sBatch;
-    Service sScalar;
-    auto batched = submitAndStream(
-        sBatch,
-        R"({"cmd":"submit","suite":{"n":16,"filter":["bitcount"]},)"
-        R"("threads":1})");
-    auto scalar = submitAndStream(
-        sScalar,
-        R"({"cmd":"submit","suite":{"n":16,"filter":["bitcount"]},)"
-        R"("threads":1,"batch":false})");
-    ASSERT_EQ(batched.size(), scalar.size());
-    const auto normalized = [](const std::string &line) {
-        auto parsed = json::parse(line);
-        EXPECT_TRUE(parsed.hasValue()) << line;
-        if (!parsed.hasValue())
-            return line;
-        json::Value v = std::move(parsed.value());
-        if (v.find("backend"))
-            v.set("backend", "X");
-        if (const json::Value *stats = v.find("stats")) {
-            json::Value s = *stats;
-            if (s.find("backend"))
-                s.set("backend", "X");
-            v.set("stats", std::move(s));
-        }
-        return v.dump(0);
-    };
-    for (std::size_t i = 0; i < batched.size(); ++i)
-        EXPECT_EQ(normalized(batched[i]), normalized(scalar[i]))
-            << "line " << i;
+    Service sDefault;
+    const auto lines1 = submitAndStream(
+        s1, R"({"cmd":"submit","suite":{"n":32},"threads":1})");
+    const auto lines8 = submitAndStream(
+        s8, R"({"cmd":"submit","suite":{"n":32},"threads":8})");
+    const auto linesDefault =
+        submitAndStream(sDefault, R"({"cmd":"submit","suite":{"n":32}})");
+    EXPECT_EQ(lines1, lines8);
+    EXPECT_EQ(lines1, linesDefault);
 }
 
 TEST(Service, StatusTracksBatchLifecycle)
