@@ -24,20 +24,23 @@ done
 
 # Compiler stage: every example kernel must compile through xcc,
 # lint clean, and match its committed golden byte for byte. Catches
-# sched-output drift that no unit test asserts on.
+# sched-output drift that no unit test asserts on. Every compile also
+# runs the race check and re-verifies the IR and the program at each
+# stage boundary (--verify-between).
 echo "==> xcc (compile examples/ir, lint, golden diff)"
 XCC=build-release/tools/xcc
 LINT=build-release/tools/ximd-lint
 XCC_OUT="$(mktemp -d)"
 trap 'rm -rf "$XCC_OUT"' EXIT
-"$XCC" --width 4 --verify examples/ir/reduce.ir \
+CHECKED="--verify --verify-between --analyze=race"
+"$XCC" --width 4 $CHECKED examples/ir/reduce.ir \
     -o "$XCC_OUT/reduce_w4.ximd"
-"$XCC" --width 2 --verify examples/ir/chain.ir \
+"$XCC" --width 2 $CHECKED examples/ir/chain.ir \
     -o "$XCC_OUT/chain_w2.ximd"
-"$XCC" --verify examples/ir/scale.ir -o "$XCC_OUT/scale_w8.ximd"
-"$XCC" --width 4 --verify --schedule=exact examples/ir/loop12.ir \
+"$XCC" $CHECKED examples/ir/scale.ir -o "$XCC_OUT/scale_w8.ximd"
+"$XCC" --width 4 $CHECKED --schedule=exact examples/ir/loop12.ir \
     -o "$XCC_OUT/loop12_w4.ximd"
-"$XCC" --compose balanced-groups --width 8 --verify \
+"$XCC" --compose balanced-groups --width 8 $CHECKED \
     examples/ir/reduce.ir examples/ir/chain.ir examples/ir/scale.ir \
     -o "$XCC_OUT/composed_bg.ximd"
 "$LINT" "$XCC_OUT"/*.ximd
@@ -50,13 +53,14 @@ echo "xcc: examples compile, lint clean, goldens match"
 # through regalloc and the scheduler, lint clean (static and race),
 # and match their committed goldens byte for byte — including the
 # forced-spill configuration (5 registers; livermore3's peak live
-# pressure is 6, so the allocator really spills).
+# pressure is 6, so the allocator really spills). As above, every
+# stage boundary is checked.
 echo "==> frontend (xcc --input=c: compile, lint, golden diff)"
 for kernel in livermore1 livermore2 livermore3 livermore12; do
-    "$XCC" --input=c --verify "examples/c/$kernel.c" \
+    "$XCC" --input=c $CHECKED "examples/c/$kernel.c" \
         -o "$XCC_OUT/$kernel.ximd"
 done
-"$XCC" --input=c --num-regs=5 --spill --verify \
+"$XCC" --input=c --num-regs=5 --spill $CHECKED \
     examples/c/livermore3.c -o "$XCC_OUT/livermore3_spill.ximd"
 "$LINT" "$XCC_OUT"/livermore*.ximd
 "$LINT" --race "$XCC_OUT"/livermore*.ximd > /dev/null
@@ -218,13 +222,14 @@ fi
 # drive them), and the checkers share one ProgramFacts per program
 # that the compile context carries from verify to race-check and
 # drops when a pass replaces the program (the verifier, race-engine
-# and pipeline suites drive it), so run
-# those suites again under ASan+UBSan explicitly (they are also part
+# and pipeline suites drive it), and the datapath suite feeds the ALU
+# the operands whose naive C++ is undefined (ineg of INT_MIN, ftoi of
+# NaN), so run those suites again under ASan+UBSan explicitly (they are also part
 # of the full runs above; this stage keeps them visible and gating on
 # their own).
-echo "==> test (sanitize: snapshot + fuzz + fault + memory + json + interval + asm + backend + verifier + pipeline suites)"
+echo "==> test (sanitize: snapshot + fuzz + fault + datapath + memory + json + interval + asm + backend + verifier + pipeline suites)"
 ctest --test-dir build-sanitize -j "$JOBS" --output-on-failure \
-    -R 'Service\.|Sweep\.|FaultPlan\.|StateIo|Snapshot|FaultCampaign|DifferentialFuzz|Memory\.|Json\.|ClassIntervals\.|RaceEquivalence\.|Assembler\.|AsmWriter\.|AsmEquivalence\.|Backend\.|BackendDifferential|Cfg\.|Dataflow\.|Lockstep\.|SyncCheck\.|RaceEngine\.|Verify|Pipeline|cli_xfarm_checkpoint|cli_xfarm_resume|cli_xfarm_faults'
+    -R 'Service\.|Sweep\.|FaultPlan\.|StateIo|Snapshot|FaultCampaign|DifferentialFuzz|Datapath\.|Memory\.|Json\.|ClassIntervals\.|RaceEquivalence\.|Assembler\.|AsmWriter\.|AsmEquivalence\.|Backend\.|BackendDifferential|Cfg\.|Dataflow\.|Lockstep\.|SyncCheck\.|RaceEngine\.|Verify|Pipeline|cli_xfarm_checkpoint|cli_xfarm_resume|cli_xfarm_faults'
 
 # Coverage stage: gcov line coverage of the execution layers.
 echo "==> coverage (gcov: src/sim + src/core)"

@@ -24,13 +24,9 @@ InterpBackend::executeParcel(MachineCore &core, const DecodedParcel &d,
         Word result;
         switch (d.op) {
           case Opcode::Ineg:
-            result = intToWord(-wordToInt(src(d.a)));
-            break;
           case Opcode::Not:
-            result = ~src(d.a);
-            break;
           case Opcode::Mov:
-            result = src(d.a);
+            result = alu::intUnary(d.op, src(d.a));
             break;
           default:
             result = alu::intBinary(d.op, src(d.a), src(d.b));
@@ -48,7 +44,7 @@ InterpBackend::executeParcel(MachineCore &core, const DecodedParcel &d,
       case OpClass::FloatAlu: {
         Word result;
         if (d.op == Opcode::Fneg)
-            result = floatToWord(-wordToFloat(src(d.a)));
+            result = alu::floatUnary(d.op, src(d.a));
         else
             result = alu::floatBinary(d.op, src(d.a), src(d.b));
         core.pipe_.pushReg(core.cycle_, d.dest, result, fu);
@@ -60,16 +56,10 @@ InterpBackend::executeParcel(MachineCore &core, const DecodedParcel &d,
                           alu::floatCompare(d.op, src(d.a), src(d.b)));
         return;
 
-      case OpClass::Convert: {
-        const Word a = src(d.a);
-        Word result;
-        if (d.op == Opcode::Itof)
-            result = floatToWord(static_cast<float>(wordToInt(a)));
-        else
-            result = intToWord(static_cast<SWord>(wordToFloat(a)));
-        core.pipe_.pushReg(core.cycle_, d.dest, result, fu);
+      case OpClass::Convert:
+        core.pipe_.pushReg(core.cycle_, d.dest,
+                           alu::convert(d.op, src(d.a)), fu);
         return;
-      }
 
       case OpClass::MemLoad: {
         const Addr addr = src(d.a) + src(d.b);

@@ -63,15 +63,15 @@
     X(Imult, PUSH_REG(alu::intBinary(Opcode::Imult, *t.a, *t.b)))         \
     X(Idiv, PUSH_REG(alu::intBinary(Opcode::Idiv, *t.a, *t.b)))           \
     X(Imod, PUSH_REG(alu::intBinary(Opcode::Imod, *t.a, *t.b)))           \
-    X(Ineg, PUSH_REG(intToWord(-wordToInt(*t.a))))                        \
+    X(Ineg, PUSH_REG(alu::intUnary(Opcode::Ineg, *t.a)))                  \
     X(And, PUSH_REG(*t.a & *t.b))                                         \
     X(Or, PUSH_REG(*t.a | *t.b))                                          \
     X(Xor, PUSH_REG(*t.a ^ *t.b))                                         \
-    X(Not, PUSH_REG(~*t.a))                                               \
+    X(Not, PUSH_REG(alu::intUnary(Opcode::Not, *t.a)))                    \
     X(Shl, PUSH_REG(*t.a << (*t.b & 31u)))                                \
     X(Shr, PUSH_REG(*t.a >> (*t.b & 31u)))                                \
     X(Sar, PUSH_REG(intToWord(wordToInt(*t.a) >> (*t.b & 31u))))          \
-    X(Mov, PUSH_REG(*t.a))                                                \
+    X(Mov, PUSH_REG(alu::intUnary(Opcode::Mov, *t.a)))                    \
     X(Eq, PUSH_CC(alu::intCompare(Opcode::Eq, *t.a, *t.b)))               \
     X(Ne, PUSH_CC(alu::intCompare(Opcode::Ne, *t.a, *t.b)))               \
     X(Lt, PUSH_CC(alu::intCompare(Opcode::Lt, *t.a, *t.b)))               \
@@ -82,17 +82,15 @@
     X(Fsub, PUSH_REG(alu::floatBinary(Opcode::Fsub, *t.a, *t.b)))         \
     X(Fmult, PUSH_REG(alu::floatBinary(Opcode::Fmult, *t.a, *t.b)))      \
     X(Fdiv, PUSH_REG(alu::floatBinary(Opcode::Fdiv, *t.a, *t.b)))         \
-    X(Fneg, PUSH_REG(floatToWord(-wordToFloat(*t.a))))                    \
+    X(Fneg, PUSH_REG(alu::floatUnary(Opcode::Fneg, *t.a)))                \
     X(Feq, PUSH_CC(alu::floatCompare(Opcode::Feq, *t.a, *t.b)))           \
     X(Fne, PUSH_CC(alu::floatCompare(Opcode::Fne, *t.a, *t.b)))           \
     X(Flt, PUSH_CC(alu::floatCompare(Opcode::Flt, *t.a, *t.b)))           \
     X(Fle, PUSH_CC(alu::floatCompare(Opcode::Fle, *t.a, *t.b)))           \
     X(Fgt, PUSH_CC(alu::floatCompare(Opcode::Fgt, *t.a, *t.b)))           \
     X(Fge, PUSH_CC(alu::floatCompare(Opcode::Fge, *t.a, *t.b)))           \
-    X(Itof,                                                               \
-      PUSH_REG(floatToWord(static_cast<float>(wordToInt(*t.a)))))         \
-    X(Ftoi,                                                               \
-      PUSH_REG(intToWord(static_cast<SWord>(wordToFloat(*t.a)))))         \
+    X(Itof, PUSH_REG(alu::convert(Opcode::Itof, *t.a)))                   \
+    X(Ftoi, PUSH_REG(alu::convert(Opcode::Ftoi, *t.a)))                   \
     X(Load, do {                                                          \
         const Addr addr = *t.a + *t.b;                                    \
         if (addr >= memWords)                                             \

@@ -2,6 +2,7 @@
 
 #include <map>
 
+#include "sim/alu.hh"
 #include "support/logging.hh"
 
 namespace ximd::frontend {
@@ -222,18 +223,16 @@ class Lowerer
           }
           case Expr::Kind::Unary: {
             Val x = lowerExpr(*e.lhs);
-            if (x.v.isImm()) {
-                // Fold: matches the datapath's Ineg/Fneg exactly.
-                if (x.isFloat)
-                    return {IrValue::immFloat(
-                                -wordToFloat(x.v.imm)),
-                            true};
-                return {IrValue::immInt(-wordToInt(x.v.imm)),
-                        false};
-            }
-            b_.setLine(e.line);
             const Opcode op =
                 x.isFloat ? Opcode::Fneg : Opcode::Ineg;
+            if (x.v.isImm()) {
+                // Fold through the datapath's own Ineg/Fneg.
+                return {IrValue::immRaw(
+                            x.isFloat ? alu::floatUnary(op, x.v.imm)
+                                      : alu::intUnary(op, x.v.imm)),
+                        x.isFloat};
+            }
+            b_.setLine(e.line);
             if (destHint != kNoVreg) {
                 b_.emitTo(destHint, op, x.v);
                 return {IrValue::reg(destHint), x.isFloat};

@@ -1,6 +1,7 @@
 #include "sched/pipeline.hh"
 
 #include <chrono>
+#include <initializer_list>
 #include <sstream>
 
 #include "analysis/race.hh"
@@ -27,114 +28,80 @@ totalOps(const IrProgram &ir)
     return n;
 }
 
-class ValidateIrPass : public Pass
+CompileResult<Ok>
+validateIrStage(CompileContext &cx, PassStat &stat)
 {
-  public:
-    std::string name() const override { return "validate-ir"; }
-
-    CompileResult<Ok>
-    run(CompileContext &cx, PassStat &stat) override
-    {
-        if (auto v = cx.ir.validateChecked(); !v) {
-            CompileError e = v.error();
-            e.pass = name();
-            return e;
-        }
-        stat.counters["blocks"] =
-            static_cast<double>(cx.ir.blocks.size());
-        stat.counters["ops"] = static_cast<double>(totalOps(cx.ir));
-        stat.counters["vregs"] = cx.ir.numVregs;
-        return Ok{};
+    if (auto v = cx.ir.validateChecked(); !v) {
+        CompileError e = v.error();
+        e.pass = "validate-ir";
+        return e;
     }
-};
+    stat.counters["blocks"] = static_cast<double>(cx.ir.blocks.size());
+    stat.counters["ops"] = static_cast<double>(totalOps(cx.ir));
+    stat.counters["vregs"] = cx.ir.numVregs;
+    return Ok{};
+}
 
-class MergeBlocksPass : public Pass
+CompileResult<Ok>
+mergeBlocksStage(CompileContext &cx, PassStat &stat)
 {
-  public:
-    std::string name() const override { return "merge-blocks"; }
+    const auto before = cx.ir.blocks.size();
+    cx.ir = mergeStraightLineBlocks(std::move(cx.ir));
+    stat.counters["blocks_before"] = static_cast<double>(before);
+    stat.counters["blocks_after"] = static_cast<double>(cx.ir.blocks.size());
+    return Ok{};
+}
 
-    CompileResult<Ok>
-    run(CompileContext &cx, PassStat &stat) override
-    {
-        const auto before = cx.ir.blocks.size();
-        cx.ir = mergeStraightLineBlocks(std::move(cx.ir));
-        stat.counters["blocks_before"] = static_cast<double>(before);
-        stat.counters["blocks_after"] =
-            static_cast<double>(cx.ir.blocks.size());
-        return Ok{};
-    }
-};
-
-class RegAllocPass : public Pass
+CompileResult<Ok>
+regAllocStage(CompileContext &cx, PassStat &stat)
 {
-  public:
-    std::string name() const override { return "regalloc"; }
+    auto a = allocateRegisters(cx.ir, cx.opts.alloc);
+    if (!a)
+        return a.error();
+    cx.alloc = std::move(a).value();
+    stat.counters["regs_used"] = cx.alloc.regsUsed;
+    stat.counters["max_pressure"] = cx.alloc.maxPressure;
+    stat.counters["spilled_vregs"] = cx.alloc.spilledVregs;
+    stat.counters["spill_stores"] = cx.alloc.spillStores;
+    stat.counters["spill_reloads"] = cx.alloc.spillReloads;
+    stat.counters["slots_used"] = cx.alloc.slotsUsed;
+    stat.counters["rounds"] = cx.alloc.rounds;
+    return Ok{};
+}
 
-    CompileResult<Ok>
-    run(CompileContext &cx, PassStat &stat) override
-    {
-        auto a = allocateRegisters(cx.ir, cx.opts.alloc);
-        if (!a)
-            return a.error();
-        cx.alloc = std::move(a).value();
-        stat.counters["regs_used"] = cx.alloc.regsUsed;
-        stat.counters["max_pressure"] = cx.alloc.maxPressure;
-        stat.counters["spilled_vregs"] = cx.alloc.spilledVregs;
-        stat.counters["spill_stores"] = cx.alloc.spillStores;
-        stat.counters["spill_reloads"] = cx.alloc.spillReloads;
-        stat.counters["slots_used"] = cx.alloc.slotsUsed;
-        stat.counters["rounds"] = cx.alloc.rounds;
-        return Ok{};
-    }
-};
-
-class BuildDdgPass : public Pass
+CompileResult<Ok>
+buildDdgStage(CompileContext &cx, PassStat &stat)
 {
-  public:
-    std::string name() const override { return "build-ddg"; }
-
-    CompileResult<Ok>
-    run(CompileContext &cx, PassStat &stat) override
-    {
-        cx.ddgs.clear();
-        std::size_t edges = 0;
-        int critical = 0;
-        for (const IrBlock &b : cx.ir.blocks) {
-            cx.ddgs.emplace_back(b, cx.opts.rawLatency);
-            edges += cx.ddgs.back().edges().size();
-            critical = std::max(
-                critical, cx.ddgs.back().criticalPathLength());
-        }
-        stat.counters["edges"] = static_cast<double>(edges);
-        stat.counters["critical_path"] = critical;
-        return Ok{};
+    cx.ddgs.clear();
+    std::size_t edges = 0;
+    int critical = 0;
+    for (const IrBlock &b : cx.ir.blocks) {
+        cx.ddgs.emplace_back(b, cx.opts.rawLatency);
+        edges += cx.ddgs.back().edges().size();
+        critical = std::max(critical, cx.ddgs.back().criticalPathLength());
     }
-};
+    stat.counters["edges"] = static_cast<double>(edges);
+    stat.counters["critical_path"] = critical;
+    return Ok{};
+}
 
-class ListSchedulePass : public Pass
+CompileResult<Ok>
+listScheduleStage(CompileContext &cx, PassStat &stat)
 {
-  public:
-    std::string name() const override { return "list-schedule"; }
-
-    CompileResult<Ok>
-    run(CompileContext &cx, PassStat &stat) override
-    {
-        cx.schedules.clear();
-        std::size_t rows = 0;
-        for (const IrBlock &b : cx.ir.blocks) {
-            auto s = scheduleBlockChecked(b, cx.opts.width,
-                                          cx.opts.rawLatency);
-            if (!s)
-                return s.error();
-            rows += s.value().numRows();
-            cx.schedules.push_back(std::move(s).value());
-        }
-        stat.counters["ops_scheduled"] =
-            static_cast<double>(totalOps(cx.ir));
-        stat.counters["rows"] = static_cast<double>(rows);
-        return Ok{};
+    cx.schedules.clear();
+    std::size_t rows = 0;
+    for (const IrBlock &b : cx.ir.blocks) {
+        auto s =
+            scheduleBlockChecked(b, cx.opts.width, cx.opts.rawLatency);
+        if (!s)
+            return s.error();
+        rows += s.value().numRows();
+        cx.schedules.push_back(std::move(s).value());
     }
-};
+    stat.counters["ops_scheduled"] = static_cast<double>(totalOps(cx.ir));
+    stat.counters["rows"] = static_cast<double>(rows);
+    return Ok{};
+}
 
 /** Does any (reachable, same-or-later) terminator jump back here? */
 bool
@@ -159,185 +126,130 @@ isLoopHeader(const IrProgram &ir, std::size_t bi)
     return false;
 }
 
-class ExactSchedulePass : public Pass
+CompileResult<Ok>
+exactScheduleStage(CompileContext &cx, PassStat &stat)
 {
-  public:
-    std::string name() const override { return "exact-schedule"; }
-
-    CompileResult<Ok>
-    run(CompileContext &cx, PassStat &stat) override
-    {
-        cx.schedules.clear();
-        cx.loopStats.clear();
-        std::size_t rows = 0;
-        unsigned exactWins = 0, timeouts = 0, proven = 0, gap = 0;
-        for (std::size_t bi = 0; bi < cx.ir.blocks.size(); ++bi) {
-            const IrBlock &b = cx.ir.blocks[bi];
-            ExactLoopStat ls;
-            auto s = exactScheduleBlockChecked(
-                b, cx.opts.width, cx.opts.rawLatency, cx.opts.exact,
-                &ls);
-            if (!s)
-                return s.error();
-            rows += s.value().numRows();
-            cx.schedules.push_back(std::move(s).value());
-            ls.loop = isLoopHeader(cx.ir, bi);
-            exactWins += ls.tier == "exact" ? 1 : 0;
-            timeouts += ls.timedOut ? 1 : 0;
-            proven += ls.proven ? 1 : 0;
-            gap += ls.optimalityGap();
-            cx.loopStats.push_back(std::move(ls));
-        }
-        stat.counters["ops_scheduled"] =
-            static_cast<double>(totalOps(cx.ir));
-        stat.counters["rows"] = static_cast<double>(rows);
-        stat.counters["exact_wins"] = exactWins;
-        stat.counters["exact_timeouts"] = timeouts;
-        stat.counters["proven_minimal"] = proven;
-        stat.counters["optimality_gap"] = gap;
-        return Ok{};
-    }
-};
-
-class CodegenPass : public Pass
-{
-  public:
-    std::string name() const override { return "codegen"; }
-
-    CompileResult<Ok>
-    run(CompileContext &cx, PassStat &stat) override
-    {
-        auto code =
-            emitScheduled(cx.ir, cx.schedules, cx.opts.codegen());
-        if (!code)
-            return code.error();
-        cx.code = std::move(code).value();
-        cx.setProgram(cx.code.program);
-        stat.counters["rows"] =
-            static_cast<double>(cx.program.size());
-        stat.counters["raw_latency"] = cx.opts.rawLatency;
-        return Ok{};
-    }
-};
-
-class ModuloPass : public Pass
-{
-  public:
-    std::string name() const override { return "modulo"; }
-
-    CompileResult<Ok>
-    run(CompileContext &cx, PassStat &stat) override
-    {
-        auto prog = pipelineLoopChecked(cx.loop, cx.opts.width,
-                                        &cx.pipeInfo);
-        if (!prog)
-            return prog.error();
-        cx.setProgram(std::move(prog).value());
-        stat.counters["ii"] = 1;
-        stat.counters["depth"] = cx.pipeInfo.depth;
-        stat.counters["expansion"] = cx.pipeInfo.expansion;
-        stat.counters["kernel_rows"] = cx.pipeInfo.kernelRows;
-        stat.counters["prologue_rows"] = cx.pipeInfo.prologueRows;
-        // II = 1 cannot be beaten: the loop path is optimal by
-        // construction, so it reports a zero-gap loop entry too.
-        stat.counters["achieved_ii"] = 1;
-        stat.counters["minimal_ii"] = 1;
-        stat.counters["optimality_gap"] = 0;
+    cx.schedules.clear();
+    cx.loopStats.clear();
+    std::size_t rows = 0;
+    unsigned exactWins = 0, timeouts = 0, proven = 0, gap = 0;
+    for (std::size_t bi = 0; bi < cx.ir.blocks.size(); ++bi) {
+        const IrBlock &b = cx.ir.blocks[bi];
         ExactLoopStat ls;
-        ls.block = "kernel";
-        ls.loop = true;
-        ls.ops = static_cast<unsigned>(cx.loop.body.size());
-        ls.resMii = ls.recMii = ls.mii = 1;
-        ls.heuristicIi = ls.achievedIi = ls.minimalIi = 1;
-        ls.proven = true;
-        ls.tier = "modulo";
+        auto s = exactScheduleBlockChecked(
+            b, cx.opts.width, cx.opts.rawLatency, cx.opts.exact,
+            &ls);
+        if (!s)
+            return s.error();
+        rows += s.value().numRows();
+        cx.schedules.push_back(std::move(s).value());
+        ls.loop = isLoopHeader(cx.ir, bi);
+        exactWins += ls.tier == "exact" ? 1 : 0;
+        timeouts += ls.timedOut ? 1 : 0;
+        proven += ls.proven ? 1 : 0;
+        gap += ls.optimalityGap();
         cx.loopStats.push_back(std::move(ls));
-        return Ok{};
     }
-};
+    stat.counters["ops_scheduled"] = static_cast<double>(totalOps(cx.ir));
+    stat.counters["rows"] = static_cast<double>(rows);
+    stat.counters["exact_wins"] = exactWins;
+    stat.counters["exact_timeouts"] = timeouts;
+    stat.counters["proven_minimal"] = proven;
+    stat.counters["optimality_gap"] = gap;
+    return Ok{};
+}
 
-class TilePass : public Pass
+CompileResult<Ok>
+codegenStage(CompileContext &cx, PassStat &stat)
 {
-  public:
-    std::string name() const override { return "tile"; }
+    auto code = emitScheduled(cx.ir, cx.schedules, cx.opts.codegen());
+    if (!code)
+        return code.error();
+    cx.code = std::move(code).value();
+    cx.setProgram(cx.code.program);
+    stat.counters["rows"] = static_cast<double>(cx.program.size());
+    stat.counters["raw_latency"] = cx.opts.rawLatency;
+    return Ok{};
+}
 
-    CompileResult<Ok>
-    run(CompileContext &cx, PassStat &stat) override
-    {
-        for (const IrProgram &t : cx.threads)
-            if (auto v = t.validateChecked(); !v)
-                return v.error();
-        cx.tiles = generateTiles(cx.threads, cx.opts.width);
-        std::size_t impls = 0;
-        for (const TileSet &s : cx.tiles)
-            impls += s.impls.size();
-        stat.counters["threads"] =
-            static_cast<double>(cx.threads.size());
-        stat.counters["tiles"] = static_cast<double>(impls);
-        return Ok{};
-    }
-};
-
-class PackPass : public Pass
+CompileResult<Ok>
+moduloStage(CompileContext &cx, PassStat &stat)
 {
-  public:
-    explicit PackPass(std::string strategy)
-        : strategy_(std::move(strategy))
-    {
-    }
+    auto prog =
+        pipelineLoopChecked(cx.loop, cx.opts.width, &cx.pipeInfo);
+    if (!prog)
+        return prog.error();
+    cx.setProgram(std::move(prog).value());
+    stat.counters["ii"] = 1;
+    stat.counters["depth"] = cx.pipeInfo.depth;
+    stat.counters["expansion"] = cx.pipeInfo.expansion;
+    stat.counters["kernel_rows"] = cx.pipeInfo.kernelRows;
+    stat.counters["prologue_rows"] = cx.pipeInfo.prologueRows;
+    // II = 1 cannot be beaten: the loop path is optimal by
+    // construction, so it reports a zero-gap loop entry too.
+    stat.counters["achieved_ii"] = 1;
+    stat.counters["minimal_ii"] = 1;
+    stat.counters["optimality_gap"] = 0;
+    ExactLoopStat ls;
+    ls.block = "kernel";
+    ls.loop = true;
+    ls.ops = static_cast<unsigned>(cx.loop.body.size());
+    ls.resMii = ls.recMii = ls.mii = 1;
+    ls.heuristicIi = ls.achievedIi = ls.minimalIi = 1;
+    ls.proven = true;
+    ls.tier = "modulo";
+    cx.loopStats.push_back(std::move(ls));
+    return Ok{};
+}
 
-    std::string name() const override { return "pack"; }
-
-    CompileResult<Ok>
-    run(CompileContext &cx, PassStat &stat) override
-    {
-        PackFn fn = packStrategyByName(strategy_);
-        if (!fn)
-            return compileError(
-                "pack", cat("unknown pack strategy '", strategy_,
-                            "' (stacked, first-fit, skyline, "
-                            "balanced-groups, exhaustive)"));
-        cx.packing = fn(cx.tiles, cx.opts.width);
-        if (auto v = validatePackingChecked(cx.packing, cx.tiles,
-                                            cx.opts.width);
-            !v)
+CompileResult<Ok>
+tileStage(CompileContext &cx, PassStat &stat)
+{
+    for (const IrProgram &t : cx.threads)
+        if (auto v = t.validateChecked(); !v)
             return v.error();
-        stat.counters["rows_packed"] = cx.packing.totalHeight;
-        stat.counters["utilization_pct"] =
-            cx.packing.utilization(cx.opts.width) * 100.0;
-        return Ok{};
-    }
+    cx.tiles = generateTiles(cx.threads, cx.opts.width);
+    std::size_t impls = 0;
+    for (const TileSet &s : cx.tiles)
+        impls += s.impls.size();
+    stat.counters["threads"] = static_cast<double>(cx.threads.size());
+    stat.counters["tiles"] = static_cast<double>(impls);
+    return Ok{};
+}
 
-  private:
-    std::string strategy_;
-};
-
-class ComposePass : public Pass
+CompileResult<Ok>
+packStage(CompileContext &cx, PassStat &stat)
 {
-  public:
-    explicit ComposePass(ComposeOptions opts) : opts_(opts) {}
+    PackFn fn = packStrategyByName(cx.packStrategy);
+    if (!fn)
+        return compileError(
+            "pack", cat("unknown pack strategy '", cx.packStrategy,
+                        "' (stacked, first-fit, skyline, "
+                        "balanced-groups, exhaustive)"));
+    cx.packing = fn(cx.tiles, cx.opts.width);
+    if (auto v = validatePackingChecked(cx.packing, cx.tiles,
+                                        cx.opts.width);
+        !v)
+        return v.error();
+    stat.counters["rows_packed"] = cx.packing.totalHeight;
+    stat.counters["utilization_pct"] =
+        cx.packing.utilization(cx.opts.width) * 100.0;
+    return Ok{};
+}
 
-    std::string name() const override { return "compose"; }
-
-    CompileResult<Ok>
-    run(CompileContext &cx, PassStat &stat) override
-    {
-        auto comp = composeThreadsChecked(cx.threads, cx.packing,
-                                          cx.opts.width, opts_);
-        if (!comp)
-            return comp.error();
-        cx.composed = std::move(comp).value();
-        cx.setProgram(cx.composed.program);
-        stat.counters["rows"] =
-            static_cast<double>(cx.program.size());
-        stat.counters["threads"] =
-            static_cast<double>(cx.composed.threads.size());
-        return Ok{};
-    }
-
-  private:
-    ComposeOptions opts_;
-};
+CompileResult<Ok>
+composeStage(CompileContext &cx, PassStat &stat)
+{
+    auto comp = composeThreadsChecked(cx.threads, cx.packing,
+                                      cx.opts.width, cx.opts.compose());
+    if (!comp)
+        return comp.error();
+    cx.composed = std::move(comp).value();
+    cx.setProgram(cx.composed.program);
+    stat.counters["rows"] = static_cast<double>(cx.program.size());
+    stat.counters["threads"] = static_cast<double>(cx.composed.threads.size());
+    return Ok{};
+}
 
 /** cx.program's facts, built on first use. */
 const analysis::ProgramFacts &
@@ -348,72 +260,21 @@ programFacts(CompileContext &cx)
     return *cx.facts;
 }
 
-class VerifyPass : public Pass
+CompileResult<Ok>
+verifyStage(CompileContext &cx, PassStat &stat)
 {
-  public:
-    std::string name() const override { return "verify"; }
-
-    CompileResult<Ok>
-    run(CompileContext &cx, PassStat &stat) override
-    {
-        if (!cx.hasProgram)
-            return compileError("verify", "no program to verify");
-        const analysis::DiagnosticList &diags = programFacts(cx).base;
-        stat.counters["errors"] =
-            static_cast<double>(diags.errorCount());
-        stat.counters["warnings"] =
-            static_cast<double>(diags.warningCount());
-        if (diags.hasErrors())
-            return compileError(
-                "verify", cat("emitted program fails static "
-                              "verification:\n",
-                              diags.formatted(&cx.program)));
-        return Ok{};
-    }
-};
-
-class RaceCheckPass : public Pass
-{
-  public:
-    std::string name() const override { return "race-check"; }
-
-    CompileResult<Ok>
-    run(CompileContext &cx, PassStat &stat) override
-    {
-        if (!cx.hasProgram)
-            return compileError("race-check",
-                                "no program to analyze");
-        const analysis::ProgramFacts &facts = programFacts(cx);
-        const analysis::RaceReport report =
-            analysis::analyzeRaces(cx.program, facts);
-        stat.counters["classes"] =
-            static_cast<double>(report.classes);
-        stat.counters["pairs"] =
-            static_cast<double>(report.pairsAnalyzed);
-        stat.counters["product_states"] =
-            static_cast<double>(report.productStates);
-        stat.counters["races"] =
-            static_cast<double>(report.diags.errorCount());
-        stat.counters["covered"] =
-            static_cast<double>(report.covered.size());
-        if (report.baseErrors) {
-            analysis::AnalyzeOptions errorsOnly;
-            errorsOnly.warnings = false;
-            return compileError(
-                "race-check",
-                cat("emitted program fails static verification:\n",
-                    analysis::analyze(facts, errorsOnly)
-                        .formatted(&cx.program)));
-        }
-        if (report.diags.hasErrors())
-            return compileError(
-                "race-check",
-                cat("emitted program fails cross-stream race "
-                    "analysis:\n",
-                    report.diags.formatted(&cx.program)));
-        return Ok{};
-    }
-};
+    if (!cx.hasProgram)
+        return compileError("verify", "no program to verify");
+    const analysis::DiagnosticList &diags = programFacts(cx).base;
+    stat.counters["errors"] = static_cast<double>(diags.errorCount());
+    stat.counters["warnings"] = static_cast<double>(diags.warningCount());
+    if (diags.hasErrors())
+        return compileError("verify",
+                            cat("emitted program fails static "
+                                "verification:\n",
+                                diags.formatted(&cx.program)));
+    return Ok{};
+}
 
 /** verifyBetween support: check the context invariants hold. */
 CompileResult<Ok>
@@ -452,120 +313,77 @@ checkInvariants(const std::string &pass, CompileContext &cx)
     return Ok{};
 }
 
-} // namespace
-
-void
-PassManager::add(std::unique_ptr<Pass> pass)
+/** One entry of a path's stage list. */
+struct Stage
 {
-    passes_.push_back(std::move(pass));
-}
+    const char *name;
+    CompileResult<Ok> (*run)(CompileContext &cx, PassStat &stat);
+    bool on = true; ///< False: an optional stage whose flag is off.
+};
 
-std::vector<std::string>
-PassManager::passNames() const
-{
-    std::vector<std::string> names;
-    for (const auto &p : passes_)
-        names.push_back(p->name());
-    return names;
-}
-
+/**
+ * Run the stages that are on, in order, over @p cx. Each is timed
+ * and records its PassStat, the failing one included; the first
+ * failure stops the run. After each success @p hook fires, and with
+ * cx.opts.verifyBetween the context invariants are checked.
+ */
 CompileResult<Ok>
-PassManager::run(CompileContext &cx)
+runStages(std::initializer_list<Stage> stages, CompileContext &cx,
+          const PassHook &hook)
 {
-    for (const auto &pass : passes_) {
+    for (const Stage &s : stages) {
+        if (!s.on)
+            continue;
         PassStat stat;
-        stat.pass = pass->name();
+        stat.pass = s.name;
         const auto t0 = std::chrono::steady_clock::now();
-        auto r = pass->run(cx, stat);
+        auto r = s.run(cx, stat);
         stat.wallMs = msSince(t0);
         cx.stats.push_back(std::move(stat));
         if (!r)
             return r.error();
-        if (hook_)
-            hook_(pass->name(), cx);
+        const std::string &name = cx.stats.back().pass;
+        if (hook)
+            hook(name, cx);
         if (cx.opts.verifyBetween)
-            if (auto v = checkInvariants(pass->name(), cx); !v)
+            if (auto v = checkInvariants(name, cx); !v)
                 return v.error();
     }
     return Ok{};
 }
 
-std::unique_ptr<Pass>
-makeValidateIrPass()
-{
-    return std::make_unique<ValidateIrPass>();
-}
+} // namespace
 
-std::unique_ptr<Pass>
-makeMergeBlocksPass()
+CompileResult<Ok>
+raceCheckStage(CompileContext &cx, PassStat &stat)
 {
-    return std::make_unique<MergeBlocksPass>();
-}
-
-std::unique_ptr<Pass>
-makeRegAllocPass()
-{
-    return std::make_unique<RegAllocPass>();
-}
-
-std::unique_ptr<Pass>
-makeBuildDdgPass()
-{
-    return std::make_unique<BuildDdgPass>();
-}
-
-std::unique_ptr<Pass>
-makeListSchedulePass()
-{
-    return std::make_unique<ListSchedulePass>();
-}
-
-std::unique_ptr<Pass>
-makeExactSchedulePass()
-{
-    return std::make_unique<ExactSchedulePass>();
-}
-
-std::unique_ptr<Pass>
-makeCodegenPass()
-{
-    return std::make_unique<CodegenPass>();
-}
-
-std::unique_ptr<Pass>
-makeModuloPass()
-{
-    return std::make_unique<ModuloPass>();
-}
-
-std::unique_ptr<Pass>
-makeTilePass()
-{
-    return std::make_unique<TilePass>();
-}
-
-std::unique_ptr<Pass>
-makePackPass(std::string strategy)
-{
-    return std::make_unique<PackPass>(std::move(strategy));
-}
-
-std::unique_ptr<Pass>
-makeComposePass(ComposeOptions opts)
-{
-    return std::make_unique<ComposePass>(opts);
-}
-
-std::unique_ptr<Pass>
-makeVerifyPass()
-{
-    return std::make_unique<VerifyPass>();
-}
-
-std::unique_ptr<Pass>
-makeRaceCheckPass()
-{
-    return std::make_unique<RaceCheckPass>();
+    if (!cx.hasProgram)
+        return compileError("race-check", "no program to analyze");
+    const analysis::ProgramFacts &facts = programFacts(cx);
+    const analysis::RaceReport report =
+        analysis::analyzeRaces(cx.program, facts);
+    stat.counters["classes"] = static_cast<double>(report.classes);
+    stat.counters["pairs"] = static_cast<double>(report.pairsAnalyzed);
+    stat.counters["product_states"] =
+        static_cast<double>(report.productStates);
+    stat.counters["races"] = static_cast<double>(report.diags.errorCount());
+    stat.counters["covered"] = static_cast<double>(report.covered.size());
+    if (report.baseErrors) {
+        analysis::AnalyzeOptions errorsOnly;
+        errorsOnly.warnings = false;
+        return compileError(
+            "race-check",
+            cat("emitted program fails static verification:\n",
+                analysis::analyze(facts, errorsOnly)
+                    .formatted(&cx.program)));
+    }
+    if (report.diags.hasErrors())
+        return compileError(
+            "race-check",
+            cat("emitted program fails cross-stream race "
+                "analysis:\n",
+                report.diags.formatted(&cx.program)));
+    return Ok{};
 }
 
 std::string
@@ -621,12 +439,6 @@ statsJson(const std::vector<PassStat> &stats,
     return os.str();
 }
 
-std::string
-statsJson(const std::vector<PassStat> &stats)
-{
-    return statsJson(stats, {});
-}
-
 PackFn
 packStrategyByName(const std::string &name)
 {
@@ -643,36 +455,25 @@ packStrategyByName(const std::string &name)
     return nullptr;
 }
 
-CompileResult<Ok>
-Compiler::runPipeline(PassManager &pm)
-{
-    pm.setAfterPass(hook_);
-    return pm.run(cx_);
-}
-
 CompileResult<CodegenResult>
 Compiler::compile(IrProgram ir)
 {
     cx_ = CompileContext{};
     cx_.opts = opts_;
     cx_.ir = std::move(ir);
-
-    PassManager pm;
-    pm.add(makeValidateIrPass());
-    if (opts_.mergeBlocks)
-        pm.add(makeMergeBlocksPass());
-    pm.add(makeRegAllocPass());
-    pm.add(makeBuildDdgPass());
-    if (opts_.schedule == ScheduleTier::Exact)
-        pm.add(makeExactSchedulePass());
-    else
-        pm.add(makeListSchedulePass());
-    pm.add(makeCodegenPass());
-    if (opts_.verify)
-        pm.add(makeVerifyPass());
-    if (opts_.analyzeRace)
-        pm.add(makeRaceCheckPass());
-    if (auto r = runPipeline(pm); !r)
+    const bool exact = opts_.schedule == ScheduleTier::Exact;
+    if (auto r = runStages(
+            {{"validate-ir", validateIrStage},
+             {"merge-blocks", mergeBlocksStage, opts_.mergeBlocks},
+             {"regalloc", regAllocStage},
+             {"build-ddg", buildDdgStage},
+             {"list-schedule", listScheduleStage, !exact},
+             {"exact-schedule", exactScheduleStage, exact},
+             {"codegen", codegenStage},
+             {"verify", verifyStage, opts_.verify},
+             {"race-check", raceCheckStage, opts_.analyzeRace}},
+            cx_, hook_);
+        !r)
         return r.error();
     return cx_.code;
 }
@@ -683,14 +484,12 @@ Compiler::compileLoop(PipelineLoop loop)
     cx_ = CompileContext{};
     cx_.opts = opts_;
     cx_.loop = std::move(loop);
-
-    PassManager pm;
-    pm.add(makeModuloPass());
-    if (opts_.verify)
-        pm.add(makeVerifyPass());
-    if (opts_.analyzeRace)
-        pm.add(makeRaceCheckPass());
-    if (auto r = runPipeline(pm); !r)
+    if (auto r = runStages(
+            {{"modulo", moduloStage},
+             {"verify", verifyStage, opts_.verify},
+             {"race-check", raceCheckStage, opts_.analyzeRace}},
+            cx_, hook_);
+        !r)
         return r.error();
     return cx_.program;
 }
@@ -702,16 +501,15 @@ Compiler::compose(std::vector<IrProgram> threads,
     cx_ = CompileContext{};
     cx_.opts = opts_;
     cx_.threads = std::move(threads);
-
-    PassManager pm;
-    pm.add(makeTilePass());
-    pm.add(makePackPass(strategy));
-    pm.add(makeComposePass(opts_.compose()));
-    if (opts_.verify)
-        pm.add(makeVerifyPass());
-    if (opts_.analyzeRace)
-        pm.add(makeRaceCheckPass());
-    if (auto r = runPipeline(pm); !r)
+    cx_.packStrategy = strategy;
+    if (auto r = runStages(
+            {{"tile", tileStage},
+             {"pack", packStage},
+             {"compose", composeStage},
+             {"verify", verifyStage, opts_.verify},
+             {"race-check", raceCheckStage, opts_.analyzeRace}},
+            cx_, hook_);
+        !r)
         return r.error();
     return cx_.composed;
 }

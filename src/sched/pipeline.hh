@@ -1,32 +1,28 @@
 /**
  * @file
- * The compiler's pass pipeline: an explicit, observable spine over
- * the sched stages.
+ * The compiler pipeline: the sched stages run in a fixed order over
+ * one CompileContext.
  *
- * Historically each stage (ir validation, DDG construction, list
- * scheduling, code generation, modulo scheduling, tiling, packing,
- * composition) was a bare function call; drivers that wanted timing,
- * dumps, or uniform error reporting had to wrap every call site. The
- * pipeline reifies the stages as Pass objects run by a PassManager
- * over a shared CompileContext:
+ * Each stage is a plain function that reads and extends the context
+ * and fills its PassStat's counters (ops scheduled, rows emitted,
+ * II/depth achieved, rows packed, ...). Compiler lists the stages of
+ * each path, the optional ones under their PipelineOptions flags
+ * (marked *):
  *
- *   - every pass is timed (wall clock) and reports counters (ops
- *     scheduled, rows emitted, II/depth achieved, rows packed, ...);
- *   - a dump hook fires after every pass, so a driver can render the
- *     IR / DDG / program state at any pipeline point (xcc
- *     --dump-after=<pass>);
- *   - failures are structured CompileErrors (diag.hh), not throws;
- *   - with verifyBetween set, the manager re-validates the IR and
- *     runs the full static verifier (analysis::verify) over any
- *     emitted program after every pass — the compiler checks the
- *     contract it compiles to at every step, not only at the end.
+ *   compile():     validate-ir merge-blocks* regalloc build-ddg
+ *                  list-schedule|exact-schedule codegen verify*
+ *                  race-check*
+ *   compileLoop(): modulo verify* race-check*
+ *   compose():     tile pack compose verify* race-check*
  *
- * The Compiler facade assembles the standard pass sequences:
- *
- *   compile():     validate-ir [merge-blocks] regalloc build-ddg
- *                  list-schedule codegen [verify]
- *   compileLoop(): modulo [verify]
- *   compose():     tile pack compose [verify]
+ * One loop runs every list: it times each stage (wall clock), records
+ * its PassStat, stops at the first failure, which is a structured
+ * CompileError (diag.hh), not a throw, and then fires the after-pass
+ * hook, so a caller can render the IR / DDG / program at any point
+ * (xcc --dump-after=<pass>). With verifyBetween it then re-validates
+ * the IR and re-verifies any emitted program (and race-checks it when
+ * analyzeRace is set), so the compiler checks the contract it
+ * compiles to at every step, not only at the end.
  *
  * Byte-for-byte, compile()/compileLoop()/compose() produce the same
  * Programs as the single-call entry points (generateCodeChecked,
@@ -39,7 +35,6 @@
 
 #include <functional>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -127,7 +122,7 @@ struct PipelineOptions
     }
 };
 
-/** Timing and counters for one executed pass. */
+/** Timing and counters for one executed stage ("pass" in the JSON). */
 struct PassStat
 {
     std::string pass;
@@ -153,6 +148,7 @@ struct CompileContext
 
     // Compose path.
     std::vector<IrProgram> threads;
+    std::string packStrategy; ///< packStrategyByName's key.
     std::vector<TileSet> tiles;
     PackResult packing;
     Composed composed;
@@ -188,66 +184,18 @@ struct CompileContext
     std::vector<ExactLoopStat> loopStats;
 };
 
-/** One pipeline stage. */
-class Pass
-{
-  public:
-    virtual ~Pass() = default;
-
-    /** Stable pass name ("list-schedule", "codegen", ...). */
-    virtual std::string name() const = 0;
-
-    /** Transform @p cx; fill @p stat.counters with what happened. */
-    virtual CompileResult<Ok> run(CompileContext &cx,
-                                  PassStat &stat) = 0;
-};
-
 /** Called after each pass completes (dump hook). */
 using PassHook =
     std::function<void(const std::string &pass,
                        const CompileContext &cx)>;
 
-/** Runs passes in order: timing, hooks, inter-pass verification. */
-class PassManager
-{
-  public:
-    void add(std::unique_ptr<Pass> pass);
-
-    /** Install the after-each-pass hook (dumps, tracing). */
-    void setAfterPass(PassHook hook) { hook_ = std::move(hook); }
-
-    /**
-     * Run every pass over @p cx. Stops at the first failing pass;
-     * cx.stats records one entry per pass that ran (the failing one
-     * included). With cx.opts.verifyBetween, validates cx.ir and
-     * statically verifies cx.program after every pass.
-     */
-    CompileResult<Ok> run(CompileContext &cx);
-
-    /** Names of the registered passes, in order. */
-    std::vector<std::string> passNames() const;
-
-  private:
-    std::vector<std::unique_ptr<Pass>> passes_;
-    PassHook hook_;
-};
-
-/// @name Standard pass factories.
-/// @{
-std::unique_ptr<Pass> makeValidateIrPass();
-std::unique_ptr<Pass> makeMergeBlocksPass();
-std::unique_ptr<Pass> makeRegAllocPass();
-std::unique_ptr<Pass> makeBuildDdgPass();
-std::unique_ptr<Pass> makeListSchedulePass();
-std::unique_ptr<Pass> makeExactSchedulePass();
-std::unique_ptr<Pass> makeCodegenPass();
-std::unique_ptr<Pass> makeModuloPass();
-std::unique_ptr<Pass> makeTilePass();
-std::unique_ptr<Pass> makePackPass(std::string strategy);
-std::unique_ptr<Pass> makeComposePass(ComposeOptions opts = {});
-std::unique_ptr<Pass> makeVerifyPass();
-std::unique_ptr<Pass> makeRaceCheckPass();
-/// @}
+/**
+ * The race-check stage: analysis::analyzeRaces over cx.program. It
+ * fails with the base verifier's errors when the program has any,
+ * and otherwise with any cross-stream race, lost signal or unbounded
+ * busy-wait it finds.
+ */
+CompileResult<Ok> raceCheckStage(CompileContext &cx, PassStat &stat);
 
 /**
  * Render cx.stats as JSON (xcc --stats-json), schema 2: a "schema"
@@ -258,12 +206,11 @@ std::unique_ptr<Pass> makeRaceCheckPass();
  */
 std::string statsJson(const std::vector<PassStat> &stats,
                       const std::vector<ExactLoopStat> &loops);
-std::string statsJson(const std::vector<PassStat> &stats);
 
 /**
  * Facade over the standard pipelines. One Compiler instance holds the
- * options and the dump hook; each compile call builds the pass
- * sequence, runs it, and leaves the context (stats included)
+ * options and the dump hook; each compile call runs its path's stage
+ * list over a fresh context and leaves that context (stats included)
  * available via context().
  */
 class Compiler
@@ -292,8 +239,6 @@ class Compiler
     }
 
   private:
-    CompileResult<Ok> runPipeline(PassManager &pm);
-
     PipelineOptions opts_;
     PassHook hook_;
     CompileContext cx_;

@@ -4,9 +4,13 @@
  *
  * The semantics pinned down in datapath.hh (two's-complement
  * wraparound, 5-bit shift amounts, signed-truncating idiv/imod with a
- * divide-by-zero fault, host IEEE single-precision floats) live here
- * so the virtual-dispatch interpreter (sim/datapath.cc) and the
- * predecoded hot loop (core/machine_core.cc) share one definition.
+ * divide-by-zero fault, host IEEE single-precision floats, ftoi's
+ * out-of-range value) live here so every executor shares one
+ * definition: executeDataOp (sim/datapath.cc, which interpretIr also
+ * runs), the interpreter backend (core/interp_backend.cc), the
+ * threaded backend's handlers (core/threaded_backend.cc) and the C
+ * frontend's constant folding. No operand value makes any of them
+ * undefined behaviour in C++.
  */
 
 #ifndef XIMD_SIM_ALU_HH
@@ -62,6 +66,19 @@ intBinary(Opcode op, Word wa, Word wb)
     }
 }
 
+/** Ineg, Not, Mov. Ineg wraps: the negation of INT_MIN is INT_MIN. */
+inline Word
+intUnary(Opcode op, Word a)
+{
+    switch (op) {
+      case Opcode::Ineg: return 0u - a;
+      case Opcode::Not:  return ~a;
+      case Opcode::Mov:  return a;
+      default:
+        panic("intUnary: unexpected opcode ", opcodeName(op));
+    }
+}
+
 inline bool
 intCompare(Opcode op, Word wa, Word wb)
 {
@@ -94,6 +111,15 @@ floatBinary(Opcode op, Word wa, Word wb)
     }
 }
 
+/** Fneg: flips the sign, of NaN and infinities too. */
+inline Word
+floatUnary(Opcode op, Word a)
+{
+    if (op != Opcode::Fneg)
+        panic("floatUnary: unexpected opcode ", opcodeName(op));
+    return floatToWord(-wordToFloat(a));
+}
+
 inline bool
 floatCompare(Opcode op, Word wa, Word wb)
 {
@@ -108,6 +134,28 @@ floatCompare(Opcode op, Word wa, Word wb)
       case Opcode::Fge: return a >= b;
       default:
         panic("floatCompare: unexpected opcode ", opcodeName(op));
+    }
+}
+
+/**
+ * Itof, and Ftoi truncating toward zero. NaN and any float outside
+ * [-2^31, 2^31) convert to 0x80000000 (INT_MIN), what x86-64's
+ * cvttss2si returns for them; C++ leaves that cast undefined.
+ */
+inline Word
+convert(Opcode op, Word a)
+{
+    switch (op) {
+      case Opcode::Itof:
+        return floatToWord(static_cast<float>(wordToInt(a)));
+      case Opcode::Ftoi: {
+        const float f = wordToFloat(a);
+        if (!(f >= -2147483648.0f && f < 2147483648.0f))
+            return 0x80000000u;
+        return intToWord(static_cast<SWord>(f));
+      }
+      default:
+        panic("convert: unexpected opcode ", opcodeName(op));
     }
 }
 

@@ -16,13 +16,9 @@ executeDataOp(const DataOp &op, ExecContext &ctx)
         Word result;
         switch (op.op) {
           case Opcode::Ineg:
-            result = intToWord(-wordToInt(ctx.readOperand(op.a)));
-            break;
           case Opcode::Not:
-            result = ~ctx.readOperand(op.a);
-            break;
           case Opcode::Mov:
-            result = ctx.readOperand(op.a);
+            result = alu::intUnary(op.op, ctx.readOperand(op.a));
             break;
           default:
             result = alu::intBinary(op.op, ctx.readOperand(op.a),
@@ -41,7 +37,7 @@ executeDataOp(const DataOp &op, ExecContext &ctx)
       case OpClass::FloatAlu: {
         Word result;
         if (op.op == Opcode::Fneg)
-            result = floatToWord(-wordToFloat(ctx.readOperand(op.a)));
+            result = alu::floatUnary(op.op, ctx.readOperand(op.a));
         else
             result = alu::floatBinary(op.op, ctx.readOperand(op.a),
                                       ctx.readOperand(op.b));
@@ -54,16 +50,9 @@ executeDataOp(const DataOp &op, ExecContext &ctx)
                                       ctx.readOperand(op.b)));
         return;
 
-      case OpClass::Convert: {
-        const Word a = ctx.readOperand(op.a);
-        Word result;
-        if (op.op == Opcode::Itof)
-            result = floatToWord(static_cast<float>(wordToInt(a)));
-        else
-            result = intToWord(static_cast<SWord>(wordToFloat(a)));
-        ctx.writeReg(op.dest, result);
+      case OpClass::Convert:
+        ctx.writeReg(op.dest, alu::convert(op.op, ctx.readOperand(op.a)));
         return;
-      }
 
       case OpClass::MemLoad: {
         const Addr addr = ctx.readOperand(op.a) + ctx.readOperand(op.b);

@@ -48,11 +48,15 @@ class ExecContext
 /**
  * Execute one data operation.
  *
- * Integer semantics: two's-complement wraparound for add/sub/mult/neg;
- * shifts use the low five bits of the shift amount; idiv/imod are
- * signed-truncating and fault (FatalError) on a zero divisor; the
- * INT_MIN/-1 overflow case wraps to INT_MIN. Float semantics are IEEE
- * single precision as provided by the host.
+ * Integer semantics: two's-complement wraparound for add/sub/mult/neg
+ * (ineg of INT_MIN is INT_MIN); shifts use the low five bits of the
+ * shift amount; idiv/imod are signed-truncating and fault (FatalError)
+ * on a zero divisor; the INT_MIN/-1 overflow case wraps to INT_MIN.
+ * Float semantics are IEEE single precision as provided by the host.
+ * ftoi truncates toward zero; NaN and floats outside [-2^31, 2^31)
+ * convert to 0x80000000. No operand value is undefined behaviour on
+ * the host: each operation is defined once, in sim/alu.hh, and every
+ * executor (this one, both backends) calls that definition.
  *
  * @param op   the operation; must be validate()-clean.
  * @param ctx  per-FU machine access.

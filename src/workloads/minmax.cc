@@ -1,5 +1,6 @@
 #include "workloads/minmax.hh"
 
+#include <algorithm>
 #include <sstream>
 
 #include "asm/asm_writer.hh"
@@ -276,10 +277,11 @@ referenceMultiSearch(unsigned searches, const std::vector<SWord> &data)
 {
     validateMultiSearchArgs(searches, data);
     std::vector<Word> counts(searches, 0);
-    for (SWord v : data)
-        for (unsigned s = 0; s < searches; ++s)
-            if (v % static_cast<SWord>(searchDivisor(s)) == 0)
-                ++counts[s];
+    for (unsigned s = 0; s < searches; ++s) {
+        const auto d = static_cast<SWord>(searchDivisor(s));
+        counts[s] = static_cast<Word>(std::count_if(
+            data.begin(), data.end(), [d](SWord v) { return v % d == 0; }));
+    }
     return counts;
 }
 

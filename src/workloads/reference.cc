@@ -1,6 +1,7 @@
 #include "workloads/reference.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "support/logging.hh"
 
@@ -39,12 +40,7 @@ referenceMinmax(const std::vector<SWord> &data)
 unsigned
 referencePopcount(Word w)
 {
-    unsigned n = 0;
-    while (w) {
-        n += w & 1u;
-        w >>= 1;
-    }
-    return n;
+    return static_cast<unsigned>(std::popcount(w));
 }
 
 std::vector<Word>

@@ -396,6 +396,35 @@ TEST(Backend, CrossPageProgramComputesExpectedWords)
     }
 }
 
+TEST(Backend, EdgeOperandsGiveDefinedValues)
+{
+    // ineg of INT_MIN and ftoi of NaN, -inf and 3e9, from registers
+    // and from immediates: each gives 0x80000000 (sim/alu.hh), in
+    // both modes and on both backends, which must also agree cycle
+    // by cycle. fneg of NaN only flips the sign bit.
+    const Program prog = assembleString(
+        ".fus 2\n"
+        ".init r1 0x80000000\n"
+        ".init r2 0x7FC00000\n"
+        "-> 1 ; ineg r1,r3 || -> 1 ; ftoi r2,r4\n"
+        "-> 2 ; ineg #minint,r5 || -> 2 ; ftoi #0xFF800000,r6\n"
+        "halt ; fneg r2,r7 || halt ; ftoi #0x4F32D05E,r8\n");
+    for (Mode mode : {Mode::Ximd, Mode::Vliw}) {
+        const MachineConfig config = MachineConfig{}.withMode(mode);
+        lockstepCompare(prog, config, modeName(mode), 4,
+                        [](int) { return Cycle(1); });
+        for (Backend b : {Backend::Interp, Backend::Threaded}) {
+            SCOPED_TRACE(std::string(modeName(mode)) + "/" +
+                         backendName(b));
+            Machine m(prog, MachineConfig(config).withBackend(b));
+            ASSERT_EQ(m.run(100).reason, StopReason::Halted);
+            for (RegId r : {3, 4, 5, 6, 8})
+                EXPECT_EQ(m.readReg(r), 0x80000000u) << "r" << int(r);
+            EXPECT_EQ(m.readReg(7), 0xFFC00000u);
+        }
+    }
+}
+
 TEST(Backend, SetAssignmentsOverwritesPartition)
 {
     PartitionTracker tracker(4);

@@ -160,6 +160,14 @@ TEST(Datapath, UnaryOps)
                   ctx);
     EXPECT_EQ(wordToInt(ctx.regVal), -5);
 
+    // Negation wraps: INT_MIN is its own negation.
+    executeDataOp(
+        DataOp::makeUnary(Opcode::Ineg,
+                          Operand::immInt(std::numeric_limits<SWord>::min()),
+                          1),
+        ctx);
+    EXPECT_EQ(ctx.regVal, 0x80000000u);
+
     executeDataOp(DataOp::makeUnary(Opcode::Not, Operand::imm(0), 1),
                   ctx);
     EXPECT_EQ(ctx.regVal, ~0u);
@@ -212,10 +220,31 @@ TEST(Datapath, Conversions)
                                     0),
                   ctx);
     EXPECT_FLOAT_EQ(wordToFloat(ctx.regVal), -3.0f);
-    executeDataOp(DataOp::makeUnary(Opcode::Ftoi,
-                                    Operand::immFloat(2.9f), 0),
+    executeDataOp(DataOp::makeUnary(Opcode::Itof,
+                                    Operand::immInt(
+                                        std::numeric_limits<SWord>::min()),
+                                    0),
                   ctx);
-    EXPECT_EQ(wordToInt(ctx.regVal), 2); // truncation
+    EXPECT_EQ(wordToFloat(ctx.regVal), -2147483648.0f);
+
+    const auto ftoi = [](float f) {
+        MockContext c;
+        executeDataOp(DataOp::makeUnary(Opcode::Ftoi,
+                                        Operand::imm(floatToWord(f)), 0),
+                      c);
+        return c.regVal;
+    };
+    EXPECT_EQ(wordToInt(ftoi(2.9f)), 2);   // truncation
+    EXPECT_EQ(wordToInt(ftoi(-2.9f)), -2); // toward zero
+    // The largest float below 2^31, and -2^31 itself, are in range.
+    EXPECT_EQ(ftoi(2147483520.0f), 2147483520u);
+    EXPECT_EQ(ftoi(-2147483648.0f), 0x80000000u);
+    // NaN, the infinities and anything outside [-2^31, 2^31) give
+    // 0x80000000, as x86-64's cvttss2si does.
+    constexpr float kInf = std::numeric_limits<float>::infinity();
+    for (float f : {std::numeric_limits<float>::quiet_NaN(), kInf, -kInf,
+                    3e9f, -3e9f, 2147483648.0f})
+        EXPECT_EQ(ftoi(f), 0x80000000u) << f;
 }
 
 TEST(Datapath, LoadComputesAplusB)
